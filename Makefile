@@ -1,6 +1,6 @@
 # Convenience targets; everything is driven by dune underneath.
 
-.PHONY: all build lint taint test bench trace perf soak soak-sample ci clean
+.PHONY: all build lint taint test bench trace perf bench-smoke soak soak-sample ci clean
 
 all: build
 
@@ -67,6 +67,16 @@ perf: build
 	rm -f _perf_results.json _perf_head.json _perf_head_sim.json _perf_now_sim.json _perf_benchdiff.txt
 	@echo "perf: simulated-time figures unchanged vs HEAD; crypto trend within budget"
 
+# Benchmark smoke: one 5-second run of each BENCHMARK.json workload
+# through perfbench/run.py, which exits non-zero on a build failure, a
+# timeout, an incorrect run ("correct": false — a failed byte compare
+# or a broken reconcile invariant) or a metric list that does not match
+# BENCHMARK.json.  Any such exit fails this target.
+bench-smoke: build
+	for w in rw-fleet ro-crowd sfs-bulk; do \
+	  python3 perfbench/run.py --workload $$w --seed 0 --seconds 5 --trace 0 || exit 1; \
+	done
+
 # Chaos soak (tools/soak): seeded fault plans against a 60-client
 # pipelined fleet (25 plans) and the read-only replica tier (5 plans),
 # each plan run twice with a byte-identical-ledger determinism check.
@@ -82,11 +92,11 @@ soak-sample: build
 
 # Everything the CI workflow runs, in the same order: build, the full
 # tier-1 test suite (which includes the @lint/@taint drift gates), the
-# perf determinism gate, the SHA-rotated chaos-soak sample, and a
-# strict static-analysis pass (no promotion: a stale committed report
-# fails here, as in CI).  Mirrors .github/workflows/ci.yml — see the
+# perf determinism gate, the benchmark smoke, the SHA-rotated
+# chaos-soak sample, and a strict static-analysis pass (no promotion:
+# a stale committed report fails here, as in CI).  Mirrors .github/workflows/ci.yml — see the
 # "CI" section of README.md for the job-by-job mapping.
-ci: build test perf soak-sample
+ci: build test perf bench-smoke soak-sample
 	dune build @lint @taint
 	@echo "ci: all gates passed"
 

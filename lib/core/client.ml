@@ -84,7 +84,6 @@ type t = {
   rpc_attempts : int; (* per-RPC budget incl. the first transmission *)
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
   readahead : int; (* sequential-read prefetch depth, in blocks *)
-  mux_shared_srv : bool; (* pipelined muxes serialize on the host run queue *)
   obs : Obs.registry option;
 }
 
@@ -95,7 +94,7 @@ let rpc_backoff_max_us = 1_600_000.0
 
 let create ?(temp_key_bits = 512) ?(temp_key_lifetime_s = 3600.0) ?temp_key ?(encrypt = true)
     ?(cache_policy = Cachefs.sfs_policy) ?(rpc_attempts = 8) ?(rpc_window = 1) ?(readahead = 0)
-    ?(mux_shared_srv = true) ?obs (net : Simnet.t) ~(from_host : string) ~(rng : Prng.t) () : t =
+    ?obs (net : Simnet.t) ~(from_host : string) ~(rng : Prng.t) () : t =
   {
     net;
     clock = Simnet.clock net;
@@ -115,7 +114,6 @@ let create ?(temp_key_bits = 512) ?(temp_key_lifetime_s = 3600.0) ?temp_key ?(en
     rpc_attempts = max 1 rpc_attempts;
     rpc_window = max 1 rpc_window;
     readahead = max 0 readahead;
-    mux_shared_srv;
     obs;
   }
 
@@ -382,101 +380,83 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                       go (i + 1)
                     end
                   in
-                  (* [exchange] also returns a sampler that, called at
-                     decode success, records the attempt's critical-path
-                     decomposition (branch-specific: the serial and
-                     write-behind paths charge different cost shares).
-                     Each sampler's segments telescope to the attempt's
-                     wall time by construction — the analytic inverse of
-                     exactly the charges Simnet.call/call_async made. *)
+                  (* One attempt's exchange.  Sync pays a full
+                     user-level crossing and the billed seal, then a
+                     blocking round trip.  Write-behind: the pipeline
+                     hides most of the user-level crossings and overlaps
+                     encryption with the wire, so only the residual
+                     fractions are charged.  Also returns a sampler
+                     that, called at decode success, records the
+                     attempt's critical-path decomposition. *)
                   let exchange () =
-                    if async then begin
-                      let t0 = Simclock.now_us t.clock in
-                      (* Write-behind: the pipeline hides most of the
-                         user-level crossings and overlaps encryption
-                         with the wire; charge the residual fractions. *)
-                      Simclock.advance t.clock
-                        (t.costs.Costmodel.async_userlevel_factor
-                        *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
-                      let wire = Channel.seal ~bill:false channel req in
-                      let crypto_up_full = Channel.crypto_cost_us channel (String.length req) in
-                      let crypto_up = t.costs.Costmodel.async_crypto_factor *. crypto_up_full in
-                      Simclock.advance t.clock crypto_up;
-                      let t1 = Simclock.now_us t.clock in
-                      let reply = Simnet.call_async conn wire in
-                      let sample (plain : string) : unit =
-                        let t2 = Simclock.now_us t.clock in
-                        let crypto_down = Channel.crypto_cost_us channel (String.length plain) in
-                        let up_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire)
-                        in
-                        let floor = t.costs.Costmodel.async_floor_us in
-                        Obs.span_end ~end_us:t2 os;
-                        Obs.cp_record t.obs
-                          {
-                            Obs.cp_op = opname;
-                            cp_trace = trace;
-                            cp_span = span;
-                            cp_start_us = t0;
-                            cp_wall_us = t2 -. t0;
-                            cp_segments =
-                              [
-                                ("client", t1 -. t0 -. crypto_up);
-                                ("crypto_up", crypto_up);
-                                ("latency", floor);
-                                ("up_wire", up_wire);
-                                ("server_cpu", t2 -. t1 -. floor -. up_wire -. crypto_down);
-                                ("crypto_down", crypto_down);
-                              ];
-                            cp_crypto_up_ctr = int_of_float crypto_up_full;
-                            cp_crypto_down_ctr = int_of_float crypto_down;
-                          }
-                      in
-                      (reply, sample)
-                    end
-                    else begin
-                      let t0 = Simclock.now_us t.clock in
-                      Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
-                      let wire = Channel.seal channel req in
-                      let t1 = Simclock.now_us t.clock in
-                      (* sfslint: allow SL010 — sync fallback: metadata ops and the recovery path; READs pipeline via Rpc_mux *)
-                      let reply = Simnet.call conn wire in
-                      let sample (plain : string) : unit =
-                        let t2 = Simclock.now_us t.clock in
+                    let t0 = Simclock.now_us t.clock in
+                    let wire, crypto_up, crypto_up_ctr =
+                      if async then begin
+                        Simclock.advance t.clock
+                          (t.costs.Costmodel.async_userlevel_factor
+                          *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
+                        let wire = Channel.seal ~bill:false channel req in
+                        let crypto_up_full = Channel.crypto_cost_us channel (String.length req) in
+                        let crypto_up = t.costs.Costmodel.async_crypto_factor *. crypto_up_full in
+                        Simclock.advance t.clock crypto_up;
+                        (wire, crypto_up, int_of_float crypto_up_full)
+                      end
+                      else begin
+                        Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+                        let wire = Channel.seal channel req in
                         let crypto_up = Channel.crypto_cost_us channel (String.length req) in
-                        let crypto_down = Channel.crypto_cost_us channel (String.length plain) in
-                        let up_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire)
-                        in
-                        let down_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length reply)
-                        in
-                        let latency = Costmodel.rpc_fixed_us t.costs Costmodel.Tcp in
-                        Obs.span_end ~end_us:t2 os;
-                        Obs.cp_record t.obs
-                          {
-                            Obs.cp_op = opname;
-                            cp_trace = trace;
-                            cp_span = span;
-                            cp_start_us = t0;
-                            cp_wall_us = t2 -. t0;
-                            cp_segments =
-                              [
-                                ("client", t1 -. t0 -. crypto_up);
-                                ("crypto_up", crypto_up);
-                                ("latency", latency);
-                                ("up_wire", up_wire);
-                                ( "server_cpu",
-                                  t2 -. t1 -. latency -. up_wire -. down_wire -. crypto_down );
-                                ("crypto_down", crypto_down);
-                                ("down_wire", down_wire);
-                              ];
-                            cp_crypto_up_ctr = int_of_float crypto_up;
-                            cp_crypto_down_ctr = int_of_float crypto_down;
-                          }
-                      in
-                      (reply, sample)
-                    end
+                        (wire, crypto_up, int_of_float crypto_up)
+                      end
+                    in
+                    let t1 = Simclock.now_us t.clock in
+                    let reply =
+                      if async then Simnet.call_async conn wire
+                      else
+                        (* sfslint: allow SL010 — sync fallback: metadata ops and the recovery path; READs pipeline via Rpc_mux *)
+                        Simnet.call conn wire
+                    in
+                    (* The round trip's modeled share: sync pays the
+                       fixed RPC latency and the reply's transfer;
+                       write-behind pays only the async floor. *)
+                    let latency, down_wire =
+                      if async then (t.costs.Costmodel.async_floor_us, None)
+                      else
+                        ( Costmodel.rpc_fixed_us t.costs Costmodel.Tcp,
+                          Some (Costmodel.transfer_us t.costs Costmodel.Tcp (String.length reply)) )
+                    in
+                    (* The analytic inverse of exactly the charges above
+                       and Simnet's: the segments telescope to the
+                       attempt's wall time, with the server's share as
+                       the residual. *)
+                    let sample (plain : string) : unit =
+                      let t2 = Simclock.now_us t.clock in
+                      let crypto_down = Channel.crypto_cost_us channel (String.length plain) in
+                      let up_wire = Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire) in
+                      let server = t2 -. t1 -. latency -. up_wire in
+                      let server = match down_wire with Some d -> server -. d | None -> server in
+                      Obs.span_end ~end_us:t2 os;
+                      Obs.cp_record t.obs
+                        {
+                          Obs.cp_op = opname;
+                          cp_trace = trace;
+                          cp_span = span;
+                          cp_start_us = t0;
+                          cp_wall_us = t2 -. t0;
+                          cp_segments =
+                            [
+                              ("client", t1 -. t0 -. crypto_up);
+                              ("crypto_up", crypto_up);
+                              ("latency", latency);
+                              ("up_wire", up_wire);
+                              ("server_cpu", server -. crypto_down);
+                              ("crypto_down", crypto_down);
+                            ]
+                            @ (match down_wire with Some d -> [ ("down_wire", d) ] | None -> []);
+                          cp_crypto_up_ctr = crypto_up_ctr;
+                          cp_crypto_down_ctr = int_of_float crypto_down;
+                        }
+                    in
+                    (reply, sample)
                   in
                   match exchange () with
                   | exception Simnet.Timeout -> recover "timeout"
@@ -529,23 +509,8 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                      round trips overlap in simulated time. *)
                   let pipeline =
                     if t.rpc_window > 1 && t.readahead > 0 then begin
-                      (* Fan-in: the mux's server timeline is the serving
-                         host's run queue, so several pipelined clients
-                         of one server queue behind each other's measured
-                         occupancy instead of each assuming an idle
-                         server.  (The fleet engine disables this and
-                         re-accounts server time itself.) *)
-                      let srv_timeline =
-                        if t.mux_shared_srv then begin
-                          let h = Simnet.conn_host m.m_conn in
-                          Some
-                            ( (fun () -> Simnet.host_timeline h),
-                              fun v -> Simnet.set_host_timeline h v )
-                        end
-                        else None
-                      in
                       let mux =
-                        Rpc_mux.create ?obs:t.obs ?srv_timeline ~window:t.rpc_window ~clock:t.clock
+                        Rpc_mux.create ?obs:t.obs ~window:t.rpc_window ~clock:t.clock
                           (* Donated idle wire time becomes reply-stream
                              keystream, banked ahead of the replies it
                              will decrypt (reads m_channel afresh, so a
@@ -688,8 +653,13 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
         Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
           ~proto:Costmodel.Tcp
       with
-      | exception Simnet.No_route _ -> Error (Host_unreachable location)
+      | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Host_unreachable location)
       | conn -> (
+          (* Every failed mount gives its admission slot back. *)
+          let fail e =
+            Simnet.close conn;
+            Error e
+          in
           (* The connect step still verifies the HostID, but key
              negotiation is skipped for the read-only dialect. *)
           let req =
@@ -702,49 +672,55 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
             }
           in
           (* sfslint: allow SL010 — read-only connect handshake, serial by design *)
-          let res = Simnet.call conn (Xdr.encode Keyneg.enc_connect_req req) in
-          match Xdr.run res Keyneg.dec_connect_res with
-          | Result.Error e -> Error (Negotiation_failed e)
-          | Ok (Keyneg.Connect_error e) -> Error (Negotiation_failed e)
-          | Ok (Keyneg.Connect_revoked { certificate }) ->
-              Error (Revoked (Revocation.cert_for path certificate))
-          | Ok (Keyneg.Connect_ok { pubkey }) -> (
-              if not (Sfs_proto.Hostid.check ~location ~pubkey ~hostid:(Pathname.hostid path)) then
-                Error (Negotiation_failed "server key does not match HostID")
-              else
-                let exchange bytes =
-                  Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
-                  (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
-                  Simnet.call conn bytes
-                in
-                match
-                  Readonly.connect ?obs:t.obs ~costs:t.costs ~exchange ~pubkey ~clock:t.clock ()
-                with
-                | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
-                | ro ->
-                    let ops = Readonly.ops ro in
-                    let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
-                    let m =
-                      {
-                        m_path = path;
-                        m_server_pub = pubkey;
-                        m_session_id = "";
-                        m_channel =
-                          Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
-                            ~recv_key:(String.make 20 '0') ();
-                        m_conn = conn;
-                        m_invalidations = ref [];
-                        m_cache = Some cache;
-                        m_ops = Some (Cachefs.ops cache);
-                        m_authnos = Hashtbl.create 1;
-                        m_agents = Hashtbl.create 1;
-                        m_seqno = 1;
-                        m_xid = 1;
-                        m_readonly = true;
-                      }
-                    in
-                    Hashtbl.replace t.mounts name m;
-                    Ok m)))
+          match Simnet.call conn (Xdr.encode Keyneg.enc_connect_req req) with
+          | exception Simnet.Timeout -> fail (Host_unreachable location)
+          | res -> (
+              match Xdr.run res Keyneg.dec_connect_res with
+              | Result.Error e -> fail (Negotiation_failed e)
+              | Ok (Keyneg.Connect_error e) -> fail (Negotiation_failed e)
+              | Ok (Keyneg.Connect_revoked { certificate }) ->
+                  fail (Revoked (Revocation.cert_for path certificate))
+              | Ok (Keyneg.Connect_ok { pubkey })
+                when not
+                       (Sfs_proto.Hostid.check ~location ~pubkey ~hostid:(Pathname.hostid path)) ->
+                  fail (Negotiation_failed "server key does not match HostID")
+              | Ok (Keyneg.Connect_ok { pubkey }) -> (
+                  let exchange bytes =
+                    Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+                    (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
+                    Simnet.call conn bytes
+                  in
+                  match
+                    Readonly.connect ?obs:t.obs ~costs:t.costs ~exchange ~pubkey ~clock:t.clock ()
+                  with
+                  | exception Readonly.Verification_failed e -> fail (Negotiation_failed e)
+                  | exception Simnet.Timeout -> fail (Host_unreachable location)
+                  | ro ->
+                      let ops = Readonly.ops ro in
+                      let cache =
+                        Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops
+                      in
+                      let m =
+                        {
+                          m_path = path;
+                          m_server_pub = pubkey;
+                          m_session_id = "";
+                          m_channel =
+                            Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
+                              ~recv_key:(String.make 20 '0') ();
+                          m_conn = conn;
+                          m_invalidations = ref [];
+                          m_cache = Some cache;
+                          m_ops = Some (Cachefs.ops cache);
+                          m_authnos = Hashtbl.create 1;
+                          m_agents = Hashtbl.create 1;
+                          m_seqno = 1;
+                          m_xid = 1;
+                          m_readonly = true;
+                        }
+                      in
+                      Hashtbl.replace t.mounts name m;
+                      Ok m))))
 
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"

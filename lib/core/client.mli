@@ -32,7 +32,6 @@ val create :
   ?rpc_attempts:int ->
   ?rpc_window:int ->
   ?readahead:int ->
-  ?mux_shared_srv:bool ->
   ?obs:Sfs_obs.Obs.registry ->
   Simnet.t ->
   from_host:string ->
@@ -52,11 +51,7 @@ val create :
     DESIGN.md §11.  A pre-generated [temp_key] skips the (expensive)
     per-client key generation — fleet simulations share one K_C across
     thousands of clients; rotation after [temp_key_lifetime_s] still
-    applies.  [mux_shared_srv] (default true) makes pipelined muxes
-    serialize their modeled server occupancy on the serving host's run
-    queue, so concurrent clients of one server contend instead of each
-    assuming an idle server; the fleet engine passes [false] and
-    re-accounts occupancy itself (DESIGN.md §15).  When [obs] is given,
+    applies.  When [obs] is given,
     automount and authentication spans are recorded, and the mount's
     channel and cache are instrumented too ([channel.client.*],
     [cache.*]). *)
@@ -67,7 +62,9 @@ val mount : t -> Pathname.t -> (mount, mount_error) result
 
 val mount_readonly : t -> Pathname.t -> (mount, mount_error) result
 (** Mount with the signed read-only dialect: no secure channel, every
-    object verified against the hash chain from the signed root. *)
+    object verified against the hash chain from the signed root.  Never
+    raises: an unreachable, refusing or timed-out server is
+    [Host_unreachable], and every failed mount closes its connection. *)
 
 val find_mount : t -> Pathname.t -> mount option
 val mounts : t -> mount list

@@ -68,12 +68,7 @@ type call_info = {
   ci_span : Obs.open_span;
 }
 
-type 'a ticket = {
-  tk_ready_us : float;
-  tk_result : ('a, exn) result;
-  tk_on_complete : (('a, exn) result -> unit) option;
-  mutable tk_done : bool; (* completion callback fired *)
-}
+type 'a ticket = { tk_ready_us : float; tk_result : ('a, exn) result }
 
 type 'a t = {
   window : int;
@@ -85,29 +80,15 @@ type 'a t = {
   precompute : (budget_us:float -> float) option;
   obs : Obs.registry option;
   mutable up_free_us : float;
-  (* The server timeline may be shared: when several muxes (one per
-     client) target the same host, they serialize through the host's
-     run queue ({!Simnet.host_timeline}) instead of each keeping a
-     private fiction of an idle server.  The default is a private
-     ref, which behaves exactly as the old [srv_free_us] field. *)
-  srv_get : unit -> float;
-  srv_set : float -> unit;
+  mutable srv_free_us : float;
   mutable down_free_us : float;
   mutable last_seen_us : float; (* clock at the previous submit: idle is measured since here *)
   mutable pending : 'a ticket list; (* oldest first; length < window between submits *)
 }
 
-let create ?obs ?precompute ?srv_timeline ~(window : int) ~(clock : Simclock.t)
-    ~(wire_us : int -> float) ~(latency_us : float) ~(op_us : float)
-    ~(exchange : string -> 'a completion) () : 'a t =
+let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : int -> float)
+    ~(latency_us : float) ~(op_us : float) ~(exchange : string -> 'a completion) () : 'a t =
   if window < 1 then invalid_arg "Rpc_mux.create: window < 1";
-  let srv_get, srv_set =
-    match srv_timeline with
-    | Some (get, set) -> (get, set)
-    | None ->
-        let r = ref 0.0 in
-        ((fun () -> !r), fun v -> r := v)
-  in
   {
     window;
     clock;
@@ -118,27 +99,21 @@ let create ?obs ?precompute ?srv_timeline ~(window : int) ~(clock : Simclock.t)
     precompute;
     obs;
     up_free_us = 0.0;
-    srv_get;
-    srv_set;
+    srv_free_us = 0.0;
     down_free_us = 0.0;
     last_seen_us = Simclock.now_us clock;
     pending = [];
   }
 
-let window (t : _ t) : int = t.window
 let in_flight (t : _ t) : int = List.length t.pending
 
-(* Advance the clock to the ticket's ready time and fire its callback
-   (once).  Completion order is submission order for forced completions;
-   await may complete a younger ticket first, which is exactly the
-   out-of-order reply consumption the xid demux allows. *)
+(* Advance the clock to the ticket's ready time.  Completion order is
+   submission order for forced completions; await may complete a
+   younger ticket first, which is exactly the out-of-order reply
+   consumption the xid demux allows. *)
 let finish (t : 'a t) (tk : 'a ticket) : unit =
   let now = Simclock.now_us t.clock in
-  if tk.tk_ready_us > now then Simclock.advance t.clock (tk.tk_ready_us -. now);
-  if not tk.tk_done then begin
-    tk.tk_done <- true;
-    match tk.tk_on_complete with None -> () | Some f -> f tk.tk_result
-  end
+  if tk.tk_ready_us > now then Simclock.advance t.clock (tk.tk_ready_us -. now)
 
 let complete_oldest (t : _ t) : unit =
   match t.pending with
@@ -147,7 +122,7 @@ let complete_oldest (t : _ t) : unit =
       t.pending <- rest;
       finish t tk
 
-let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
+let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
   let enter = Simclock.now_us t.clock in
   (* Window enforcement: a full window means the client blocks until the
      oldest outstanding reply arrives before it may send again. *)
@@ -178,7 +153,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
       end);
   t.last_seen_us <- now;
   if t.up_free_us < now then t.up_free_us <- now;
-  if t.srv_get () < now then t.srv_set now;
+  if t.srv_free_us < now then t.srv_free_us <- now;
   if t.down_free_us < now then t.down_free_us <- now;
   let tk =
     match t.exchange request with
@@ -191,12 +166,11 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
         let up_queue = t.up_free_us -. now in
         let req_done = t.up_free_us +. t.wire_us wire_bytes in
         t.up_free_us <- req_done;
-        let srv_free = t.srv_get () in
-        let srv_start = if req_done > srv_free then req_done else srv_free in
+        let srv_start = if req_done > t.srv_free_us then req_done else t.srv_free_us in
         (* Precomputed keystream already happened during donated idle
            wire time, so it does not occupy the server timeline again. *)
         let srv_done = srv_start +. c.c_server_us -. c.c_claim_us in
-        t.srv_set srv_done;
+        t.srv_free_us <- srv_done;
         let rep_start = if srv_done > t.down_free_us then srv_done else t.down_free_us in
         let rep_done = rep_start +. t.wire_us c.c_wire_bytes +. t.op_us in
         t.down_free_us <- rep_done;
@@ -239,12 +213,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
                 cp_crypto_up_ctr = ci.ci_crypto_up_ctr;
                 cp_crypto_down_ctr = int_of_float c.c_crypto_us;
               });
-        {
-          tk_ready_us = ready;
-          tk_result = Ok c.c_payload;
-          tk_on_complete = on_complete;
-          tk_done = false;
-        }
+        { tk_ready_us = ready; tk_result = Ok c.c_payload }
     | exception e ->
         (* The exchange charged nothing (Simnet.call_measured restores
            the clock); the failure is observed when awaited.  No
@@ -253,7 +222,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
            the trace). *)
         Obs.incr t.obs "mux.fail";
         (match info with None -> () | Some ci -> Obs.span_end ci.ci_span);
-        { tk_ready_us = now; tk_result = Error e; tk_on_complete = on_complete; tk_done = false }
+        { tk_ready_us = now; tk_result = Error e }
   in
   t.pending <- t.pending @ [ tk ];
   tk
@@ -262,5 +231,3 @@ let await (t : 'a t) (tk : 'a ticket) : 'a =
   t.pending <- List.filter (fun p -> p != tk) t.pending;
   finish t tk;
   match tk.tk_result with Ok payload -> payload | Error e -> raise e
-
-let drain (t : _ t) : unit = while t.pending <> [] do complete_oldest t done

@@ -58,7 +58,6 @@ type 'a t
 val create :
   ?obs:Sfs_obs.Obs.registry ->
   ?precompute:(budget_us:float -> float) ->
-  ?srv_timeline:(unit -> float) * (float -> unit) ->
   window:int ->
   clock:Simclock.t ->
   wire_us:(int -> float) ->
@@ -78,12 +77,9 @@ val create :
     [mux.submit], [mux.stall] (window-full forced waits) and [mux.fail]
     are recorded.
 
-    [srv_timeline] is a (get, set) pair for the server-CPU timeline.
-    By default it is a private ref (a lone mux owns its server); wiring
-    it to the serving host's run queue
-    ({!Simnet.host_timeline} / {!Simnet.set_host_timeline}) makes every
-    mux targeting that host serialize its measured server occupancy
-    through one shared timeline — the fleet fan-in model.
+    Each mux keeps its own server timeline: a lone client owns its
+    server.  Contention between many clients of one host is the fleet
+    engine's job ({!Simnet.host_occupy}), not the mux's.
 
     [precompute] is the idle-wire donation hook ({!Channel.precompute}):
     at each submit the mux measures how long each wire direction's
@@ -94,7 +90,6 @@ val create :
     @raise Invalid_argument if [window < 1]. *)
 
 val submit :
-  ?on_complete:(('a, exn) result -> unit) ->
   ?info:call_info ->
   'a t ->
   wire_bytes:int ->
@@ -105,8 +100,7 @@ val submit :
     the oldest outstanding reply's ready time (completing it).  The
     exchange itself runs now, in submission order; a raised exception is
     captured in the ticket and re-raised at {!await}.  [wire_bytes] is
-    the request's on-the-wire length.  [on_complete] fires exactly once,
-    when the ticket completes (forced or awaited).  With [?info], the
+    the request's on-the-wire length.  With [?info], the
     mux records an {!Sfs_obs.Obs.cp_sample} decomposing the op's wall
     time (submit begin to reply ready) into additive segments, and
     closes [ci_span] at the ready time. *)
@@ -116,8 +110,5 @@ val await : 'a t -> 'a ticket -> 'a
     and return the payload, or re-raise the exchange's exception.
     Idempotent on completed tickets. *)
 
-val drain : _ t -> unit
-(** Force-complete every outstanding ticket in submission order. *)
-
-val window : _ t -> int
 val in_flight : _ t -> int
+(** Tickets submitted but not yet awaited or forced to completion. *)

@@ -63,8 +63,7 @@ type host = {
   services : (int, service) Hashtbl.t;
   (* Per-host run queue: the earliest instant this host's CPU is free.
      The fleet engine serializes overlapped work from thousands of
-     connections through this timeline (Rpc_mux shares it too, via
-     {!host_timeline}/{!set_host_timeline}). *)
+     connections through this timeline ({!host_occupy}). *)
   mutable cpu_free_us : float;
   (* Cumulative simulated time this host's services spent handling
      deliveries (handler charges plus injector delays).  The fleet
@@ -132,8 +131,6 @@ let add_host (t : t) (name : string) : host =
 
 (* --- Per-host run queue and admission --- *)
 
-let host_timeline (h : host) : float = h.cpu_free_us
-let set_host_timeline (h : host) (v : float) : unit = h.cpu_free_us <- v
 let host_served_us (h : host) : float = h.served_us
 let host_active_conns (h : host) : int = h.active_conns
 let set_admission (h : host) (limit : int option) : unit = h.admit_limit <- limit
@@ -247,8 +244,6 @@ let connect (t : t) ~(from_host : string) ~(addr : string) ~(port : int) ~(proto
 let set_tap (c : conn) (tap : tap option) : unit = c.tap <- tap
 let set_default_tap (t : t) (tap : tap option) : unit = t.default_tap <- tap
 
-let conn_host (c : conn) : host = c.host
-
 let close (c : conn) : unit =
   if not c.closed then begin
     c.closed <- true;
@@ -355,90 +350,80 @@ let deliver_reply (c : conn) (reply : string) : string =
           reply
       | Fault_corrupt idx -> corrupt_byte reply idx)
 
-(* One synchronous request/reply exchange: charges the fixed per-RPC
-   cost plus transfer time for both messages, runs the taps, runs the
-   server handler (which charges its own processing costs). *)
-let call (c : conn) (request : string) : string =
+(* The delivery core every exchange kind shares, run inside the kind's
+   own span and after its own pre-delivery charges: counters, tap ->
+   injector -> handler -> tap -> reply injector, and the serving host's
+   served time.  [measure] reads the server side's charges: under
+   [Simclock.time] they stay on the clock, under [Simclock.absorb] they
+   are rolled back for the caller to re-account (Rpc_mux).  Returns the
+   reply and that server-side time. *)
+let exchange (c : conn) ~(measure : Simclock.t -> (unit -> string) -> string * float)
+    (request : string) : string * float =
+  let t = c.net in
+  c.rpc_count <- c.rpc_count + 1;
+  c.bytes_sent <- c.bytes_sent + String.length request;
+  Obs.incr t.obs c.keys.k_rpcs;
+  Obs.add t.obs c.keys.k_bytes_out (String.length request);
+  let reply, served =
+    measure t.clock (fun () ->
+        let request = apply_tap c To_server request in
+        let reply = deliver c request in
+        let reply = apply_tap c To_client reply in
+        deliver_reply c reply)
+  in
+  c.host.served_us <- c.host.served_us +. served;
+  c.bytes_received <- c.bytes_received + String.length reply;
+  Obs.add t.obs c.keys.k_bytes_in (String.length reply);
+  (reply, served)
+
+(* Every exchange kind passes this gate before its span opens. *)
+let check_open (c : conn) : unit =
   if c.closed then raise Timeout;
-  check_liveness c;
+  check_liveness c
+
+let observe_latency (c : conn) (start_us : float) : unit =
+  Obs.observe c.net.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us c.net.clock -. start_us))
+
+(* One synchronous request/reply exchange: charges the fixed per-RPC
+   cost plus transfer time for both messages around the delivery (the
+   server handler charges its own processing costs). *)
+let call (c : conn) (request : string) : string =
+  check_open c;
   let t = c.net in
   Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc" (fun () ->
       let start_us = Simclock.now_us t.clock in
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
       Simclock.advance t.clock (Costmodel.rpc_fixed_us t.costs c.proto);
       Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request));
-      let reply, served =
-        Simclock.time t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. served;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
+      let reply, _ = exchange c ~measure:Simclock.time request in
       Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length reply));
-      Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
+      observe_latency c start_us;
       reply)
 
-(* A windowed-pipeline exchange (Rpc_mux): runs the full tap / fault /
-   handler path like [call], but charges *nothing* to the clock itself.
-   Server-side processing time (the handler's own charges, plus any
-   injector delays) is measured with [Simclock.absorb] and returned so
-   the dispatcher can re-account it under an overlapped time model.
-   Exceptions (drops, corruption-induced timeouts) restore the clock and
-   propagate to the caller. *)
+(* A windowed-pipeline exchange (Rpc_mux): charges *nothing* to the
+   clock itself.  Server-side processing time (the handler's own
+   charges, plus any injector delays) is measured with
+   [Simclock.absorb] and returned so the dispatcher can re-account it
+   under an overlapped time model.  Exceptions (drops,
+   corruption-induced timeouts) restore the clock and propagate to the
+   caller. *)
 let call_measured (c : conn) (request : string) : string * float =
-  if c.closed then raise Timeout;
-  check_liveness c;
-  let t = c.net in
-  Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc_pipe" (fun () ->
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
-      let reply, server_us =
-        Simclock.absorb t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. server_us;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
-      (reply, server_us))
+  check_open c;
+  Obs.span ~args:c.keys.span_args c.net.obs ~cat:"net" "rpc_pipe" (fun () ->
+      exchange c ~measure:Simclock.absorb request)
 
 (* A pipelined (write-behind) exchange: the caller does not wait for
    the reply, so the fixed round-trip latency is hidden; only wire
    transfer plus a small per-op floor is charged.  Taps still see the
    traffic. *)
 let call_async (c : conn) (request : string) : string =
-  if c.closed then raise Timeout;
-  check_liveness c;
+  check_open c;
   let t = c.net in
   Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc_async" (fun () ->
       let start_us = Simclock.now_us t.clock in
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
       Simclock.advance t.clock t.costs.Costmodel.async_floor_us;
       Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request));
-      let reply, served =
-        Simclock.time t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. served;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
-      Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
+      let reply, _ = exchange c ~measure:Simclock.time request in
+      observe_latency c start_us;
       reply)
 
 (* Adversary entry point: deliver a raw message to the server as if it

@@ -60,8 +60,8 @@ val set_injector : t -> injector option -> unit
 val create : ?costs:Costmodel.t -> ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
 (** When [obs] is given, every connection records per-peer RPC, byte
     and modeled-latency metrics under [net.<addr>:<port>.*], plus one
-    span per {!call}/{!call_async}.  {!inject} (the adversary's raw
-    entry point) is deliberately not instrumented. *)
+    span per {!call}/{!call_async}/{!call_measured}.  {!inject} (the
+    adversary's raw entry point) is deliberately not instrumented. *)
 
 val clock : t -> Simclock.t
 val costs : t -> Costmodel.t
@@ -79,12 +79,8 @@ val unlisten : host -> port:int -> unit
     its CPU is free) and a served-time accumulator (simulated time its
     services spent handling deliveries).  The fleet engine re-accounts
     measured server work through {!host_occupy}, so overlapped requests
-    from thousands of connections serialize on the serving host;
-    {!Rpc_mux} shares the same timeline via {!host_timeline} /
-    {!set_host_timeline}. *)
+    from thousands of connections serialize on the serving host. *)
 
-val host_timeline : host -> float
-val set_host_timeline : host -> float -> unit
 val host_served_us : host -> float
 val host_active_conns : host -> int
 
@@ -105,9 +101,6 @@ val connect :
 (** @raise No_route when the address or port is not served.
     @raise Timeout when an armed injector has the host inside a crash
     window, or the host is at its admission limit. *)
-
-val conn_host : conn -> host
-(** The serving host behind this connection. *)
 
 val call : conn -> string -> string
 [@@sfs.sink "wire"]

@@ -15,9 +15,6 @@ module Xdr = Sfs_xdr.Xdr
 module Sunrpc = Sfs_xdr.Sunrpc
 module Obs = Sfs_obs.Obs
 
-type transport = string -> string
-(** Sends one marshaled RPC call, returns the marshaled reply. *)
-
 (* Per-call timeout handling: a lost request or reply surfaces as
    [Simnet.Timeout]; the kernel NFS client's answer is to retransmit
    the *same* xid after a capped exponential backoff, relying on the
@@ -35,10 +32,11 @@ let retry_policy ?(attempts = 8) ?(base_us = 20_000.) ?(max_us = 800_000.) ?obs
     ~(charge : float -> unit) () : retry =
   { r_attempts = max 1 attempts; r_base_us = base_us; r_max_us = max_us; r_charge = charge; r_obs = obs }
 
-(* [enc] is the connection's reusable RPC encoder: one buffer serves
-   every call this client makes. *)
+(* One xid space over one transport: [send] ships a marshaled call and
+   returns the marshaled reply; [enc] is the reusable RPC encoder, one
+   buffer for every call this client makes. *)
 type t = {
-  send : transport;
+  send : string -> string;
   mutable xid : int;
   machine : string;
   enc : Xdr.enc;
@@ -51,13 +49,6 @@ let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
   else
     Sunrpc.Auth_unix
       { stamp = 0; machine; uid = c.Simos.cred_uid; gid = c.Simos.cred_gid; gids = c.Simos.cred_groups }
-
-let create ?retry ?obs ~(machine : string) (send : transport) : t =
-  { send; xid = 1; machine; enc = Xdr.make_enc (); retry; obs }
-
-let of_conn ?retry ?obs ~(machine : string) (conn : Simnet.conn) : t =
-  (* sfslint: allow SL010 — mount/setup transport; data reads pipeline via conn_pipeline *)
-  create ?retry ?obs ~machine (fun bytes -> Simnet.call conn bytes)
 
 exception Rpc_failure of string
 
@@ -139,16 +130,6 @@ let generic_call ?(async = false) (call : raw_call) ~(cred : Simos.cred) ~(proc 
       (* sfstaint: allow TNT004 — Xdr errors interpolate only lengths and tag values, never reply bytes; the transport closure's captured channel state stays out of the message *)
       raise (Rpc_failure ("unparsable result: " ^ e))
 
-(* Fetch the root handle via the MOUNT program. *)
-let mount_root (t : t) ~(cred : Simos.cred) : fh =
-  let results =
-    call_raw t ~cred ~prog:Nfs_proto.mount_prog ~vers:Nfs_proto.mount_vers
-      ~proc:Nfs_proto.mount_proc_mnt ""
-  in
-  match Xdr.run results dec_fh with
-  | Ok h -> h
-  | Result.Error e -> raise (Rpc_failure ("bad mount reply: " ^ e))
-
 let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
   let open Nfs_proto in
   let nfs_call ?async ~cred ~proc enc_args a dec_result =
@@ -205,31 +186,6 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* A variant of [of_conn] whose transport routes async traffic through
-   the pipelined path.  [stall] models FreeBSD's suboptimal kernel
-   NFS-over-TCP (paper section 4.1): requests spanning multiple TCP
-   segments hit delayed-ACK/Nagle stalls — the pathology behind NFS 3
-   (TCP)'s poor showing on write-heavy workloads. *)
-let conn_ops ?(stall = fun (_ : int) -> ()) ?retry ?obs ~(machine : string) (conn : Simnet.conn)
-    ~(root : fh) : Fs_intf.ops =
-  (* sfslint: allow SL010 — metadata/sync ops keep NFS RPC semantics; READs pipeline, WRITEs go async *)
-  let sync = create ?retry ?obs ~machine (fun b -> Simnet.call conn b) in
-  let async_t =
-    { (create ?retry ?obs ~machine (fun b -> Simnet.call_async conn b)) with xid = 100_000_000 }
-  in
-  generic_ops
-    (fun ~cred ~proc ~async args ->
-      stall (String.length args);
-      let t = if async then async_t else sync in
-      call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args)
-    ~root
-
-let ops (t : t) ~(root : fh) : Fs_intf.ops =
-  generic_ops
-    (fun ~cred ~proc ~async:_ args ->
-      call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args)
-    ~root
-
 (* The windowed READ path (readahead): its own xid space, so pipelined
    traffic can never collide with the sync (base 1) or async (base 1e8)
    clients, and its own Rpc_mux over the measured exchange.  No
@@ -237,7 +193,7 @@ let ops (t : t) ~(root : fh) : Fs_intf.ops =
    caller (Cachefs) falls back to the synchronous path, whose retry
    machinery recovers; READs are idempotent, so the abandoned xid is
    harmless. *)
-let conn_pipeline ?obs ?(window = 16) ?(depth = 16) (net : Simnet.t)
+let read_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
     Fs_intf.pipeline =
   let costs = Simnet.costs net in
@@ -311,31 +267,52 @@ let conn_pipeline ?obs ?(window = 16) ?(depth = 16) (net : Simnet.t)
   in
   { Fs_intf.pl_depth = depth; pl_submit }
 
-(* Convenience: dial an NFS server over the simulated network and mount
-   its export; [window]/[readahead] > trivial also build the pipelined
-   read path for the caching layer. *)
-let mount_pipelined ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t)
-    ~(from_host : string) ~(addr : string) ~(proto : Sfs_net.Costmodel.transport_proto)
-    ~(cred : Simos.cred) : Fs_intf.ops * Fs_intf.pipeline option =
+(* Dial an NFS server over the simulated network and mount its export.
+   Three xid spaces share the connection: sync calls (metadata and the
+   retry path) start at 1, write-behind WRITEs at 1e8 over the async
+   path, and the windowed READ path (built when [window]/[readahead]
+   are non-trivial) at 2e8.  [stall] models FreeBSD's suboptimal
+   kernel NFS-over-TCP (paper section 4.1): requests spanning multiple
+   TCP segments hit delayed-ACK/Nagle stalls — the pathology behind
+   NFS 3 (TCP)'s poor showing on write-heavy workloads. *)
+let mount ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
+    ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
+    Fs_intf.ops * Fs_intf.pipeline option =
   let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
-  let t = of_conn ?retry ?obs ~machine:from_host conn in
-  let root = mount_root t ~cred in
+  let client ~xid send = { send; xid; machine = from_host; enc = Xdr.make_enc (); retry; obs } in
+  (* sfslint: allow SL010 — MOUNT, metadata and sync ops keep NFS RPC semantics; READs pipeline, WRITEs go async *)
+  let sync_send b = Simnet.call conn b in
+  let root =
+    let results =
+      call_raw (client ~xid:1 sync_send) ~cred ~prog:Nfs_proto.mount_prog
+        ~vers:Nfs_proto.mount_vers ~proc:Nfs_proto.mount_proc_mnt ""
+    in
+    match Xdr.run results dec_fh with
+    | Ok h -> h
+    | Result.Error e -> raise (Rpc_failure ("bad mount reply: " ^ e))
+  in
   let costs = Simnet.costs net in
   let stall =
     match proto with
-    | Sfs_net.Costmodel.Udp -> fun _ -> ()
-    | Sfs_net.Costmodel.Tcp ->
+    | Costmodel.Udp -> fun _ -> ()
+    | Costmodel.Tcp ->
         fun bytes ->
-          if bytes > costs.Sfs_net.Costmodel.mss_bytes then
-            Sfs_net.Simclock.advance (Simnet.clock net) costs.Sfs_net.Costmodel.nfs_tcp_stall_us
+          if bytes > costs.Costmodel.mss_bytes then
+            Sfs_net.Simclock.advance (Simnet.clock net) costs.Costmodel.nfs_tcp_stall_us
+  in
+  let sync = client ~xid:1 sync_send in
+  let async_t = client ~xid:100_000_000 (fun b -> Simnet.call_async conn b) in
+  let ops =
+    generic_ops
+      (fun ~cred ~proc ~async args ->
+        stall (String.length args);
+        call_raw (if async then async_t else sync) ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers
+          ~proc args)
+      ~root
   in
   let pipeline =
     if window > 1 && readahead > 0 then
-      Some (conn_pipeline ?obs ~window ~depth:readahead net ~proto ~machine:from_host conn)
+      Some (read_pipeline ?obs ~window ~depth:readahead net ~proto ~machine:from_host conn)
     else None
   in
-  (conn_ops ~stall ?retry ?obs ~machine:from_host conn ~root, pipeline)
-
-let mount ?retry (net : Simnet.t) ~(from_host : string) ~(addr : string)
-    ~(proto : Sfs_net.Costmodel.transport_proto) ~(cred : Simos.cred) : Fs_intf.ops =
-  fst (mount_pipelined ?retry net ~from_host ~addr ~proto ~cred)
+  (ops, pipeline)

@@ -8,9 +8,6 @@ module Simnet = Sfs_net.Simnet
 
 exception Rpc_failure of string
 
-type transport = string -> string
-(** Sends one marshaled RPC call, returns the marshaled reply. *)
-
 type retry
 (** Per-call timeout discipline: a [Simnet.Timeout] (or a garbled
     reply) retransmits the {e same} xid after a capped exponential
@@ -32,14 +29,6 @@ val retry_policy :
     attempt [i] is [min (base_us * 2^i) max_us] (defaults 20ms base,
     800ms cap), billed to the simulated clock via [charge]. *)
 
-type t
-
-val create : ?retry:retry -> ?obs:Sfs_obs.Obs.registry -> machine:string -> transport -> t
-val of_conn : ?retry:retry -> ?obs:Sfs_obs.Obs.registry -> machine:string -> Simnet.conn -> t
-(** With [obs], calls carry the current trace context ({!Sfs_obs.Obs.current})
-    in the Sun RPC trace annex, so server-side spans attach to the
-    causing client op. *)
-
 type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> string
 (** A procedure-level transport.  [async] marks write-behind traffic
     (unstable WRITEs), which implementations may pipeline. *)
@@ -48,48 +37,7 @@ val generic_ops : raw_call -> root:fh -> Fs_intf.ops
 (** NFS 3 procedures marshaled over any raw transport — the shared core
     of this client and the SFS client. *)
 
-val mount_root : t -> cred:Simos.cred -> fh
-(** Fetch the export's root handle via the MOUNT program. *)
-
-val ops : t -> root:fh -> Fs_intf.ops
-
-val conn_ops :
-  ?stall:(int -> unit) ->
-  ?retry:retry ->
-  ?obs:Sfs_obs.Obs.registry ->
-  machine:string ->
-  Simnet.conn ->
-  root:fh ->
-  Fs_intf.ops
-(** Ops over a network connection, routing async traffic through the
-    pipelined path.  [stall] is invoked with each request size — the
-    hook that models FreeBSD's suboptimal NFS-over-TCP (section 4.1). *)
-
-val conn_pipeline :
-  ?obs:Sfs_obs.Obs.registry ->
-  ?window:int ->
-  ?depth:int ->
-  Simnet.t ->
-  proto:Sfs_net.Costmodel.transport_proto ->
-  machine:string ->
-  Simnet.conn ->
-  Fs_intf.pipeline
-(** The windowed READ path (readahead) over its own {!Rpc_mux} and xid
-    space.  No retransmission: a fault raises out of the await thunk
-    and the caller falls back to the synchronous path's recovery (READs
-    are idempotent, so abandoned xids are harmless). *)
-
 val mount :
-  ?retry:retry ->
-  Simnet.t ->
-  from_host:string ->
-  addr:string ->
-  proto:Sfs_net.Costmodel.transport_proto ->
-  cred:Simos.cred ->
-  Fs_intf.ops
-(** Dial an NFS server on the simulated network and mount its export. *)
-
-val mount_pipelined :
   ?retry:retry ->
   ?obs:Sfs_obs.Obs.registry ->
   ?window:int ->
@@ -100,6 +48,17 @@ val mount_pipelined :
   proto:Sfs_net.Costmodel.transport_proto ->
   cred:Simos.cred ->
   Fs_intf.ops * Fs_intf.pipeline option
-(** Like {!mount}, but when [window > 1] and [readahead > 0] (defaults
-    are the trivial 1/0) also returns the pipelined read path for
-    {!Cachefs.create}'s [pipeline]. *)
+(** Dial an NFS server on the simulated network and mount its export.
+    Metadata and stable calls are synchronous; unstable WRITEs take the
+    write-behind path; over TCP, requests larger than one segment pay
+    the FreeBSD NFS-over-TCP stall (paper section 4.1).  With [obs],
+    calls carry the current trace context ({!Sfs_obs.Obs.current}) in
+    the Sun RPC trace annex, so server-side spans attach to the causing
+    client op.
+
+    When [window > 1] and [readahead > 0] (defaults are the trivial
+    1/0), also returns the windowed READ path for {!Cachefs.create}'s
+    [pipeline]: its own {!Rpc_mux} and xid space, [readahead] blocks
+    deep.  It does not retransmit: a fault raises out of the await
+    thunk and the caller falls back to the synchronous path's recovery
+    (READs are idempotent, so abandoned xids are harmless). *)

@@ -1,4 +1,4 @@
-(** Deterministic observability: spans, counters and histograms.
+(** Deterministic observability: spans, counters and quantile sketches.
 
     A {!registry} is an explicit value created by whoever builds a
     stack (see [Sfs_workload.Stacks.make]) and threaded down through
@@ -10,8 +10,6 @@
     Instrumentation entry points ({!add}, {!observe}, {!span}) take a
     [registry option]: passing [None] makes them no-ops, so
     uninstrumented stacks pay only an option test. *)
-
-type histogram
 
 type span = {
   sp_name : string;
@@ -68,8 +66,7 @@ val counter : registry -> string -> int
 val observe : registry option -> string -> int -> unit
 [@@sfs.sink "obs"]
 (** [observe r name v] records integer observation [v] (microseconds or
-    bytes, rounded by the caller) into histogram [name].  Buckets are
-    power-of-two sized: bucket index = bit count of [v]. *)
+    bytes, rounded by the caller) into the {!Sketch} named [name]. *)
 
 val span : ?args:(string * string) list -> registry option -> cat:string -> string -> (unit -> 'a) -> 'a
 [@@sfs.sink "obs"]
@@ -125,27 +122,15 @@ val cp_record : registry option -> cp_sample -> unit
 val cp_samples : registry -> cp_sample list
 (** Recorded samples, oldest first. *)
 
-type histo_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_buckets : (int * int) list;  (** (bucket index, count), sparse, ascending *)
-}
-
 type snapshot = {
   snap_counters : (string * int) list;  (** sorted by name *)
-  snap_histograms : (string * histo_snapshot) list;  (** sorted by name *)
+  snap_histograms : (string * Sketch.t) list;
+      (** sorted by name; copies, unaffected by later observations *)
   snap_spans : span list;  (** completion order *)
 }
 
 val snapshot : registry -> snapshot
 val snap_counter : snapshot -> string -> int
-
-val histo_of_observations : int list -> histo_snapshot
-(** Pure constructor for property tests. *)
-
-val histo_merge : histo_snapshot -> histo_snapshot -> histo_snapshot
-(** Pointwise sum of counts, sums and buckets; associative and
-    commutative because everything is an integer. *)
 
 val chrome_trace : ?ops_only:bool -> (string * registry) list -> string
 (** Chrome [trace_event] JSON (Perfetto / chrome://tracing loadable).
@@ -158,7 +143,9 @@ val jsonl : registry -> string
 (** Flat JSONL event stream: one
     [{"type":"counter"|"histogram"|"span"|"critical_path",...}] object
     per line, counters and histograms sorted by name, spans and
-    critical-path samples in completion order. *)
+    critical-path samples in completion order.  A histogram line
+    carries its sketch as [{"type":"histogram","name":N,"sketch":S}]
+    with [S] in {!Sketch.to_json} form. *)
 
 val jsonl_of : (string * registry) list -> string
 (** Like {!jsonl} but for several registries; each is preceded by a

@@ -24,11 +24,6 @@
    is always free at T + c, so ready = T + d: the fleet model
    degenerates exactly to the serial one.
 
-   Pipelined clients keep their private mux timelines here
-   (~mux_shared_srv:false): host-timeline writes are not rolled back by
-   absorb, so letting the mux book occupancy during a measured action
-   would double-charge the host once the engine re-accounts s.
-
    Everything is deterministic: seeded Prngs, the simulated clock, and
    counters/sketches keyed to it.  Two same-config runs must produce
    byte-identical ledgers (the scale figure's byte-diff gate and the
@@ -287,7 +282,7 @@ let run (cfg : config) : result =
     let s = i mod cfg.servers in
     let cred, agent = users.(i mod cfg.user_pool) in
     let cc =
-      Core.Client.create ~temp_key ~mux_shared_srv:false ~rpc_window:cfg.window
+      Core.Client.create ~temp_key ~rpc_window:cfg.window
         ~readahead:cfg.readahead ~obs net ~from_host:from
         ~rng:(Prng.create [ cfg.seed; "client"; string_of_int i ])
         ()

@@ -146,11 +146,11 @@ let make ?fault ?(key_bits = 512) ?(server_disk_params = Diskmodel.default_param
          on a fault-free network. *)
       let retry = Nfs_client.retry_policy ~obs ~charge:(Simclock.advance clock) () in
       let ops, pipeline =
-        Nfs_client.mount_pipelined ~retry ~obs ~window:rpc_window ~readahead net
+        Nfs_client.mount ~retry ~obs ~window:rpc_window ~readahead net
           ~from_host:client_host ~addr:server_location ~proto ~cred:root_cred
       in
       (* Readahead only: kernel NFS write traffic already goes through the
-         async write-behind path in [conn_ops], so the cache stays
+         async write-behind path in [Nfs_client.mount], so the cache stays
          write-through here to keep the fig9 write calibration intact. *)
       let cache = Cachefs.create ~obs ~clock ?pipeline ~policy:Cachefs.nfs_policy ops in
       let vfs = Core.Vfs.make ~clock ~root_fs:client_root () in

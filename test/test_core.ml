@@ -637,6 +637,35 @@ let test_no_anonymous_server () =
   Vfs.set_agent vfs ~uid:alice.Simos.uid agent;
   ignore (vok "alice allowed" (Vfs.readdir vfs (Simos.cred_of_user alice) (base ^ "/pub")))
 
+(* A failed read-only mount gives its connection (and so its admission
+   slot) back, and a server that refuses the dial is an error value,
+   not an exception. *)
+let test_readonly_mount_releases_conn () =
+  let w = make_world () in
+  let host =
+    match Simnet.find_host w.net "server.example.com" with
+    | Some h -> h
+    | None -> Alcotest.fail "no server host"
+  in
+  Simnet.set_admission host (Some 1);
+  let wrong = Lazy.force key_b in
+  let bad = Pathname.of_server ~location:"server.example.com" ~pubkey:wrong.Rabin.pub in
+  (match Client.mount_readonly w.client bad with
+  | Error (Client.Negotiation_failed _) -> ()
+  | Error e -> Alcotest.fail (Client.mount_error_to_string e)
+  | Ok _ -> Alcotest.fail "wrong HostID mounted");
+  let again =
+    Simnet.connect w.net ~from_host:"client.example.com" ~addr:"server.example.com"
+      ~port:Server.sfs_port ~proto:Sfs_net.Costmodel.Tcp
+  in
+  Testkit.check_int "second dial admitted" 1 (Simnet.host_active_conns host);
+  Simnet.close again;
+  Simnet.set_admission host (Some 0);
+  match Client.mount_readonly w.client (Server.self_path w.server) with
+  | Error (Client.Host_unreachable _) -> ()
+  | Error e -> Alcotest.fail (Client.mount_error_to_string e)
+  | Ok _ -> Alcotest.fail "mounted past the admission cap"
+
 let suite =
   ( "core",
     [
@@ -666,4 +695,6 @@ let suite =
       Alcotest.test_case "srp connection misuse" `Quick test_srp_connection_protocol_errors;
       Alcotest.test_case "sfskey remote key change" `Quick test_sfskey_remote_key_change;
       Alcotest.test_case "anonymous access refused" `Quick test_no_anonymous_server;
+      Alcotest.test_case "read-only mount failures release conn" `Quick
+        test_readonly_mount_releases_conn;
     ] )

@@ -257,7 +257,8 @@ let test_host_occupy () =
   Testkit.check_bool "first slice" true (Simnet.host_occupy h ~at_us:0.0 ~dur_us:10.0 = 10.0);
   Testkit.check_bool "queued behind" true (Simnet.host_occupy h ~at_us:5.0 ~dur_us:10.0 = 20.0);
   Testkit.check_bool "idle gap" true (Simnet.host_occupy h ~at_us:50.0 ~dur_us:5.0 = 55.0);
-  Testkit.check_bool "timeline" true (Simnet.host_timeline h = 55.0)
+  (* An empty slice at t=0 starts where the queue drains: 55. *)
+  Testkit.check_bool "timeline" true (Simnet.host_occupy h ~at_us:0.0 ~dur_us:0.0 = 55.0)
 
 let test_served_accounting () =
   let clock, net, h = make_net () in
@@ -321,23 +322,27 @@ let test_mux_semantics () =
         { Rpc_mux.c_payload = req; c_server_us = 5.0; c_wire_bytes = 1; c_crypto_us = 0.0; c_claim_us = 0.0 })
       ()
   in
-  let fired = ref 0 in
-  let t1 = Rpc_mux.submit ~on_complete:(fun _ -> incr fired) mux ~wire_bytes:1 "a" in
-  let _t2 = Rpc_mux.submit mux ~wire_bytes:1 "b" in
+  (* wire 1 µs/byte, 5 µs server, 1 µs residual, 10 µs latency: "a"
+     is ready at 1+5+1+1+10 = 18, "b" queues behind it on the server
+     and is ready at 23. *)
+  let t1 = Rpc_mux.submit mux ~wire_bytes:1 "a" in
+  let t2 = Rpc_mux.submit mux ~wire_bytes:1 "b" in
   Testkit.check_int "window full" 2 (Rpc_mux.in_flight mux);
-  (* A third submit stalls: the oldest ticket is forced to completion
-     (callback fires) before the new call takes its slot. *)
+  Alcotest.(check (float 1e-9)) "submits do not wait" 0.0 (Simclock.now_us clock);
+  (* A third submit stalls: the oldest ticket is forced to completion —
+     the clock moves to its ready time — before the new call takes its
+     slot. *)
   let t3 = Rpc_mux.submit mux ~wire_bytes:1 "c" in
-  Testkit.check_int "stall completed oldest" 1 !fired;
+  Alcotest.(check (float 1e-9)) "stall waited for the oldest" 18.0 (Simclock.now_us clock);
   Testkit.check_int "slot reused" 2 (Rpc_mux.in_flight mux);
   (* Exchanges ran eagerly, in submission order — the server saw the
      same sequence a serial client would send. *)
   Testkit.check_string "submission order" "a,b,c" (String.concat "," (List.rev !calls));
   Testkit.check_string "await after forced completion" "a" (Rpc_mux.await mux t1);
-  Testkit.check_int "callback fires exactly once" 1 !fired;
+  Alcotest.(check (float 1e-9)) "forced ticket costs nothing more" 18.0 (Simclock.now_us clock);
   Testkit.check_string "out-of-order await" "c" (Rpc_mux.await mux t3);
-  Rpc_mux.drain mux;
-  Testkit.check_int "drained" 0 (Rpc_mux.in_flight mux);
+  Testkit.check_string "older ticket still pending" "b" (Rpc_mux.await mux t2);
+  Testkit.check_int "all awaited" 0 (Rpc_mux.in_flight mux);
   (* A failing exchange is captured at submit and re-raised at await. *)
   boom := true;
   let tx = Rpc_mux.submit mux ~wire_bytes:1 "x" in

@@ -181,7 +181,7 @@ let make_network_fs () =
 
 let test_nfs_end_to_end () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let dir, _ = ok "mkdir" (ops.Fs_intf.fs_mkdir root ~dir:ops.Fs_intf.fs_root "docs" ~mode:0o755) in
   let f, _ = ok "create" (ops.Fs_intf.fs_create root ~dir "paper.txt" ~mode:0o644) in
   ignore (ok "write" (ops.Fs_intf.fs_write root f ~off:0 ~stable:false "self-certifying"));
@@ -199,7 +199,7 @@ let test_nfs_end_to_end () =
 
 let test_nfs_credentials_cross_wire () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let home, _ = ok "mkhome" (ops.Fs_intf.fs_mkdir root ~dir:ops.Fs_intf.fs_root "home" ~mode:0o777) in
   let f, _ = ok "create" (ops.Fs_intf.fs_create alice ~dir:home "mine" ~mode:0o600) in
   ignore (ok "alice writes" (ops.Fs_intf.fs_write alice f ~off:0 ~stable:false "private"));
@@ -211,7 +211,7 @@ let test_nfs_credentials_cross_wire () =
 
 let test_nfs_bad_handle () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   expect_err "bad handle" NFS3ERR_BADHANDLE (ops.Fs_intf.fs_getattr root "bogus");
   expect_err "stale id" NFS3ERR_STALE (ops.Fs_intf.fs_getattr root "nfs3:99999")
 
@@ -228,7 +228,7 @@ let test_nfs_garbage_resilience () =
 
 let test_cachefs_attr_cache () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.nfs_policy ops in
   let cops = Cachefs.ops cache in
   let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "f" ~mode:0o644) in
@@ -245,7 +245,7 @@ let test_cachefs_attr_cache () =
 
 let test_cachefs_data_cache () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.nfs_policy ops in
   let cops = Cachefs.ops cache in
   let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "data" ~mode:0o644) in
@@ -260,7 +260,7 @@ let test_cachefs_lease_invalidation () =
   (* SFS-style: an invalidation delivered through the queue drops the
      cache entry before its TTL. *)
   let clock, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let queue = ref [] in
   let cache =
     Cachefs.create
@@ -285,7 +285,7 @@ let test_cachefs_hit_permissions () =
   (* Regression: a shared cache must not let one user's hits bypass
      another user's permission checks (the section 5.1 hazard). *)
   let clock, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.sfs_policy ops in
   let cops = Cachefs.ops cache in
   let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "locked" ~mode:0o700) in
@@ -300,7 +300,7 @@ let test_cachefs_hit_permissions () =
 
 let test_cachefs_negative_lookup () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   (* Under leases (stamp attrs with a lease via a fake wrapping). *)
   let stamped =
     { ops with

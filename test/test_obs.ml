@@ -3,7 +3,7 @@
    The contract under test is determinism — two identical op sequences
    (and two identical simulated stack runs) must export byte-identical
    snapshots and JSONL — plus span well-formedness across exceptions,
-   and the algebraic laws the histogram and codec lean on. *)
+   and the algebraic laws the sketches and codec lean on. *)
 
 module Obs = Sfs_obs.Obs
 module Stacks = Sfs_workload.Stacks
@@ -131,36 +131,39 @@ let test_chrome_trace_shape () =
   Alcotest.(check bool) "complete events" true (has "\"ph\":\"X\"");
   Alcotest.(check bool) "span args survive" true (has "\"peer\":\"s1\"")
 
-(* --- QCheck: histogram algebra and counter codec --- *)
+(* --- QCheck: sketch algebra through Obs, and the counter codec --- *)
 
-let histo_eq (a : Obs.histo_snapshot) (b : Obs.histo_snapshot) : bool =
-  a.Obs.hs_count = b.Obs.hs_count && a.Obs.hs_sum = b.Obs.hs_sum
-  && a.Obs.hs_buckets = b.Obs.hs_buckets
+module Sketch = Sfs_obs.Sketch
+
+(* The sketch a registry holds after [Obs.observe] of every value in
+   [vs] under one name (an empty list leaves no entry: the empty
+   sketch). *)
+let observed (vs : int list) : Sketch.t =
+  let now, _ = fake_clock () in
+  let r = Obs.create ~now_us:now () in
+  List.iter (Obs.observe (Some r) "h") vs;
+  match List.assoc_opt "h" (Obs.snapshot r).Obs.snap_histograms with
+  | Some h -> h
+  | None -> Sketch.create ()
 
 let obs_list = QCheck.list_of_size (QCheck.Gen.int_bound 40) (QCheck.int_bound 1_000_000)
 
 let prop_merge_commutative =
   QCheck.Test.make ~count:200 ~name:"histo_merge commutative" (QCheck.pair obs_list obs_list)
     (fun (xs, ys) ->
-      let a = Obs.histo_of_observations xs and b = Obs.histo_of_observations ys in
-      histo_eq (Obs.histo_merge a b) (Obs.histo_merge b a))
+      let a = observed xs and b = observed ys in
+      Sketch.equal (Sketch.merge a b) (Sketch.merge b a))
 
 let prop_merge_associative =
   QCheck.Test.make ~count:200 ~name:"histo_merge associative"
     (QCheck.triple obs_list obs_list obs_list) (fun (xs, ys, zs) ->
-      let a = Obs.histo_of_observations xs
-      and b = Obs.histo_of_observations ys
-      and c = Obs.histo_of_observations zs in
-      histo_eq
-        (Obs.histo_merge a (Obs.histo_merge b c))
-        (Obs.histo_merge (Obs.histo_merge a b) c))
+      let a = observed xs and b = observed ys and c = observed zs in
+      Sketch.equal (Sketch.merge a (Sketch.merge b c)) (Sketch.merge (Sketch.merge a b) c))
 
 let prop_merge_models_concat =
   QCheck.Test.make ~count:200 ~name:"histo_merge models list concat"
     (QCheck.pair obs_list obs_list) (fun (xs, ys) ->
-      histo_eq
-        (Obs.histo_merge (Obs.histo_of_observations xs) (Obs.histo_of_observations ys))
-        (Obs.histo_of_observations (xs @ ys)))
+      Sketch.equal (Sketch.merge (observed xs) (observed ys)) (observed (xs @ ys)))
 
 let counter_name =
   (* Printable names, including chars the JSON codec must escape. *)

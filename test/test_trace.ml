@@ -141,6 +141,43 @@ let test_per_op_aggregation () =
         (Float.abs (seg -. a.Trace.oa_wall_us) <= tol))
     aggs
 
+(* Byte-identity pins for the three client RPC paths: the synchronous
+   call, write-behind call_async and the windowed call_measured.  The
+   digest covers every counter, span and critical-path line of the
+   world's JSONL export plus the final simulated clock; histogram lines
+   are left out so the quantile structure behind them can change
+   without moving a pin.  A change to any modeled charge, span or
+   segment shows up here as a digest mismatch. *)
+let pinned_digest (stack : Stacks.stack) : string =
+  let w = Stacks.make stack in
+  run_workload w;
+  let keep line =
+    List.exists
+      (fun p -> String.starts_with ~prefix:p line)
+      [ "{\"type\":\"counter\""; "{\"type\":\"span\""; "{\"type\":\"critical_path\"" ]
+  in
+  let lines = List.filter keep (String.split_on_char '\n' (Obs.jsonl w.Stacks.obs)) in
+  List.iter
+    (fun name ->
+      let tag = Printf.sprintf "\"name\":\"%s\"" name in
+      let has l =
+        let n = String.length l and m = String.length tag in
+        let rec go i = i + m <= n && (String.sub l i m = tag || go (i + 1)) in
+        go 0
+      in
+      if not (List.exists has lines) then
+        Alcotest.failf "%s: no %s span" (Stacks.stack_name stack) name)
+    [ "rpc"; "rpc_async"; "rpc_pipe" ];
+  let clock = Printf.sprintf "clock %h" (Sfs_net.Simclock.now_us w.Stacks.clock) in
+  let parts = List.map (fun l -> l ^ "\n") (lines @ [ clock ]) in
+  Sfs_crypto.Sha1.hex (Sfs_crypto.Sha1.digest_list parts)
+
+let test_rpc_paths_pinned () =
+  Testkit.check_string "SFS window 16" "8f53f32a02e4d3a940c6ae6e69cc04664a7351d6"
+    (pinned_digest Stacks.Sfs);
+  Testkit.check_string "NFS 3 over TCP" "ccb7756bf6fc5a8dca09c150b7db895dcab920ca"
+    (pinned_digest Stacks.Nfs_tcp)
+
 let suite =
   ( "trace",
     [
@@ -150,4 +187,5 @@ let suite =
       Alcotest.test_case "server adopts client trace" `Quick test_server_adopts_trace;
       Alcotest.test_case "two runs byte-identical" `Quick test_two_runs_byte_identical;
       Alcotest.test_case "per-op aggregation" `Quick test_per_op_aggregation;
+      Alcotest.test_case "rpc paths byte-identical to pins" `Quick test_rpc_paths_pinned;
     ] )
