@@ -754,6 +754,8 @@ let crypto () =
   let rng = Sfs_crypto.Prng.create [ "bench-crypto" ] in
   let key512 = Sfs_crypto.Rabin.generate ~bits:512 rng in
   let key1024 = Sfs_crypto.Rabin.generate ~bits:1024 rng in
+  let rw_rng = Sfs_crypto.Prng.create [ "bench-crypto-rw" ] in
+  let key384 = Sfs_crypto.Rabin.generate ~bits:384 rw_rng in
   let block64 = String.make 64 'b' in
   let block8k = String.make 8192 'b' in
   let mac_key = String.make 32 'm' in
@@ -834,6 +836,13 @@ let crypto () =
             | Some cs, Some ss ->
                 Sfs_crypto.Srp.check_client_proof ss ~proof:cs.Sfs_crypto.Srp.proof
             | _ -> false) );
+      (* The read-write mount's two other public-key steps, on their own
+         generator so the cases above keep their draw sequence: a
+         512-bit encryption (OAEP, the gcd coprimality check, one
+         squaring) and the fleet's 384-bit user-key signature. *)
+      ( "rabin-512-encrypt",
+        fun () -> ignore (Sfs_crypto.Rabin.encrypt key512.Sfs_crypto.Rabin.pub rw_rng "session key") );
+      ("rabin-384-sign", fun () -> ignore (Sfs_crypto.Rabin.sign key384 "benchmark message"));
     ]
   in
   (* Phase 1 — the deterministic work proxy: bytes allocated per op.

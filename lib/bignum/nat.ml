@@ -180,11 +180,24 @@ let shift_right (a : t) (bits : int) : t =
     end
   end
 
-(* Knuth algorithm D long division, on half-limbs packed into full limbs.
-   We instead use a simpler normalized schoolbook division on 26-bit limbs:
-   estimate each quotient limb from the top two dividend limbs divided by
-   the top divisor limb (after normalizing so the divisor's top bit is
-   set), then correct by at most two decrements. *)
+(* [shl_into dst src n s] writes the n-limb [src] shifted left by
+   [s < limb_bits] bits into dst.(0..n); dst.(n) takes the carry-out. *)
+let shl_into (dst : int array) (src : int array) (n : int) (s : int) : unit =
+  let carry = ref 0 in
+  for i = 0 to n - 1 do
+    let v = (src.(i) lsl s) lor !carry in
+    dst.(i) <- v land limb_mask;
+    carry := v lsr limb_bits
+  done;
+  dst.(n) <- !carry
+
+(* Knuth's algorithm D (TAOCP vol. 2, 4.3.1).  Normalize one working copy
+   u of the dividend and the divisor v so v's top limb has its high bit
+   set; then each quotient limb is estimated from the top two limbs of
+   u's current window, corrected against v[n-2] (after which it is at
+   most one too large), multiplied out and subtracted in place, and v is
+   added back on the rare step where that drove the window negative.
+   What remains in u's low n limbs, shifted back, is the remainder. *)
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
@@ -202,42 +215,63 @@ let divmod (a : t) (b : t) : t * t =
     (normalize q, of_int !r)
   end
   else begin
-    (* Normalize so divisor's top limb has its high bit set. *)
-    let shift = limb_bits - (num_bits b - ((Array.length b - 1) * limb_bits)) in
-    let u = shift_left a shift and v = shift_left b shift in
-    let nv = Array.length v in
-    let top = v.(nv - 1) in
-    let rem = ref u in
-    let nq = Array.length u - nv + 1 in
-    let q = Array.make (max nq 1) 0 in
-    for j = nq - 1 downto 0 do
-      let r = !rem in
-      let nr = Array.length r in
-      (* Estimate q_j = floor(rem / (v << j*limb)) from leading limbs. *)
-      let r_at i = if i >= 0 && i < nr then r.(i) else 0 in
-      let hi = r_at (j + nv) and lo = r_at (j + nv - 1) in
-      let qhat = ref (((hi lsl limb_bits) lor lo) / top) in
-      if !qhat > limb_mask then qhat := limb_mask;
-      let vj = shift_limbs v j in
-      if !qhat > 0 then begin
-        (* Correct an overestimate by walking the product down one
-           [v << j] per decrement — O(n) per step instead of
-           re-materialising the full qhat * v product each time. *)
-        let prod = ref (shift_limbs (mul_schoolbook v (of_int !qhat)) j) in
-        while compare !prod r > 0 do
-          decr qhat;
-          prod := sub !prod vj
-        done;
-        rem := sub r !prod
-      end;
-      (* After estimation the remainder may still admit one more v<<j. *)
-      while compare !rem vj >= 0 do
-        incr qhat;
-        rem := sub !rem vj
+    let n = Array.length b in
+    let m = Array.length a - n in
+    let s = limb_bits - (num_bits b - ((n - 1) * limb_bits)) in
+    let u = Array.make (m + n + 1) 0 in
+    shl_into u a (m + n) s;
+    let v =
+      if s = 0 then b
+      else begin
+        let v = Array.make (n + 1) 0 in
+        shl_into v b n s;
+        v
+      end
+    in
+    let vtop = v.(n - 1) and vnext = v.(n - 2) in
+    let q = Array.make (m + 1) 0 in
+    for j = m downto 0 do
+      let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      while
+        !rhat <= limb_mask
+        && (!qhat > limb_mask || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
       done;
-      q.(j) <- !qhat
+      let qh = !qhat in
+      (* u[j..j+n] -= qh * v; a limb difference lies in [-base, base), so
+         its arithmetic shift is the borrow (0 or -1). *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (qh * v.(i)) + !carry in
+        carry := p lsr limb_bits;
+        let d = u.(i + j) - (p land limb_mask) + !borrow in
+        u.(i + j) <- d land limb_mask;
+        borrow := d asr limb_bits
+      done;
+      let d = u.(j + n) - !carry + !borrow in
+      u.(j + n) <- d land limb_mask;
+      if d >= 0 then q.(j) <- qh
+      else begin
+        q.(j) <- qh - 1;
+        let c = ref 0 in
+        for i = 0 to n - 1 do
+          let sum = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- sum land limb_mask;
+          c := sum lsr limb_bits
+        done;
+        u.(j + n) <- (u.(j + n) + !c) land limb_mask
+      end
     done;
-    (normalize q, shift_right !rem shift)
+    (* Unnormalize: the remainder is u's low n limbs shifted right by s
+       (u.(n) is zero by now, so reading it is harmless). *)
+    let r = Array.make n 0 in
+    for i = 0 to n - 1 do
+      r.(i) <- ((u.(i) lsr s) lor (u.(i + 1) lsl (limb_bits - s))) land limb_mask
+    done;
+    (normalize q, normalize r)
   end
 
 let div a b = fst (divmod a b)
@@ -263,70 +297,68 @@ let modexp_reference ~(base : t) ~(exp : t) ~(modulus : t) : t =
 (* --- Montgomery exponentiation (DESIGN.md §14) ---
 
    For an odd k-limb modulus m, work in the residue ring scaled by
-   R = base^k: a Montgomery value ā = a·R mod m.  REDC(T) = T·R⁻¹ mod m
-   costs two k-limb multiplies (which [mul] runs through Karatsuba above
-   the threshold) and replaces the full division of [modexp_reference]'s
-   every step.  m' = -m⁻¹ mod R comes from Hensel lifting the one-limb
-   odd inverse, doubling precision each round. *)
+   R = base^k: a Montgomery value ā = a·R mod m, held as a fixed k-limb
+   array (high limbs may be zero).  The product ā·b̄·R⁻¹ mod m is one
+   CIOS pass (Koç, Acar and Kaliski 1996): for each limb of b, add a·b_i
+   and the multiple q·m that clears the low limb, then drop that limb.
+   q needs only the one-limb m0' = -m⁻¹ mod base, and a 63-bit int has
+   room for both products and the carry, so the multiply and reduce
+   loops are fused into one.  The whole exponent runs over buffers
+   allocated once per modexp. *)
 
-(* Low k limbs of a (a mod base^k), normalized. *)
-let trunc_limbs (a : t) (k : int) : t =
-  if Array.length a <= k then a else normalize (Array.sub a 0 k)
-
-(* Drop the low k limbs of a (a / base^k). *)
-let drop_limbs (a : t) (k : int) : t =
-  let n = Array.length a in
-  if n <= k then zero else Array.sub a k (n - k)
-
-type mont = {
-  mg_m : t; (* the (odd) modulus, k limbs *)
-  mg_k : int;
-  mg_m' : t; (* -m⁻¹ mod base^k *)
-  mg_r2 : t; (* base^2k mod m: the into-Montgomery-form multiplier *)
-  mg_one : t; (* base^k mod m: 1 in Montgomery form *)
-}
-
-(* Hensel lifting: x ≡ m⁻¹ (mod base^j) refines to mod base^2j via
-   x ← x·(2 - m·x).  Seed with the exact inverse mod base (one limb,
-   Newton on native ints), then double until k limbs are valid. *)
-let mont_of_modulus (m : t) : mont =
-  let k = Array.length m in
-  let inv0 =
-    let m0 = m.(0) in
-    let x = ref m0 in
-    (* x ≡ m0⁻¹ mod 2^3 for odd m0; five squarings reach 2^48 > 2^26. *)
-    for _ = 1 to 5 do
-      x := !x * (2 - (m0 * !x)) land limb_mask
-    done;
-    !x land limb_mask
-  in
-  let x = ref (of_int inv0) in
-  let j = ref 1 in
-  while !j < k do
-    j := min (2 * !j) k;
-    let mx = trunc_limbs (mul (trunc_limbs m !j) !x) !j in
-    (* 2 - m·x mod base^j: m·x ≡ 1 mod base^(j/2), so this never hits
-       the degenerate 0 case unless m·x = 1 exactly (then x is done). *)
-    let two_minus =
-      if compare mx two <= 0 then sub two mx
-      else sub (add (shift_limbs one !j) two) mx
-    in
-    x := trunc_limbs (mul !x two_minus) !j
+(* -m0⁻¹ mod base for odd m0.  x = m0 is its own inverse mod 8; each
+   Newton step x·(2 - m0·x) doubles the valid bits (3, 6, 12, 24, 48). *)
+let neg_inv_limb (m0 : int) : int =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land limb_mask
   done;
-  let inv = trunc_limbs !x k in
-  (* m' = -m⁻¹ mod base^k *)
-  let m' = if is_zero inv then zero else sub (shift_limbs one k) inv in
-  let r2 = rem (shift_limbs one (2 * k)) m in
-  let one_m = rem (shift_limbs one k) m in
-  { mg_m = m; mg_k = k; mg_m' = m'; mg_r2 = r2; mg_one = one_m }
+  (limb_base - !x) land limb_mask
 
-(* REDC: T < m·base^k  ↦  T·base^-k mod m. *)
-let mont_redc (g : mont) (t : t) : t =
-  let u = trunc_limbs (mul (trunc_limbs t g.mg_k) g.mg_m') g.mg_k in
-  let s = drop_limbs (add t (mul u g.mg_m)) g.mg_k in
-  if compare s g.mg_m >= 0 then sub s g.mg_m else s
-
-let mont_mul (g : mont) (a : t) (b : t) : t = mont_redc g (mul a b)
+(* out <- a·b·R⁻¹ mod m for k-limb a, b < m.  [t] is k+1 limbs of
+   scratch: the running sum stays below 2m, so its top limb is 0 or 1
+   and one conditional subtraction finishes.  [out] may alias [a] or [b]:
+   it is written only after both are fully read.  The inner loop, where
+   modexp spends nearly all its time, skips bounds checks: the length
+   guard on entry covers every index it touches. *)
+let mont_mul (m : int array) (m0' : int) (t : int array) (a : int array) (b : int array)
+    (out : int array) : unit =
+  let k = Array.length m in
+  if Array.length a < k || Array.length b < k || Array.length out < k || Array.length t <= k then
+    invalid_arg "Nat.mont_mul";
+  Array.fill t 0 (k + 1) 0;
+  for i = 0 to k - 1 do
+    let bi = b.(i) in
+    let v = t.(0) + (a.(0) * bi) in
+    let q = v * m0' land limb_mask in
+    let c = ref ((v + (q * m.(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let v = Array.unsafe_get t j + (Array.unsafe_get a j * bi) + (q * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (v land limb_mask);
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k - 1) <- v land limb_mask;
+    t.(k) <- v lsr limb_bits
+  done;
+  let ge =
+    t.(k) <> 0
+    ||
+    let i = ref (k - 1) in
+    while !i >= 0 && t.(!i) = m.(!i) do
+      decr i
+    done;
+    !i < 0 || t.(!i) > m.(!i)
+  in
+  if ge then begin
+    let borrow = ref 0 in
+    for j = 0 to k - 1 do
+      let d = t.(j) - m.(j) + !borrow in
+      out.(j) <- d land limb_mask;
+      borrow := d asr limb_bits
+    done
+  end
+  else Array.blit t 0 out 0 k
 
 (* Sliding-window width by exponent size: 4 covers SRP's 512-bit group,
    5 the 1024-bit-plus Rabin keys; tiny exponents stay binary. *)
@@ -341,45 +373,143 @@ let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
     modexp_reference ~base ~exp ~modulus
   else if is_zero exp then one
   else begin
-    let g = mont_of_modulus modulus in
+    let m = modulus in
+    let k = Array.length m in
+    let m0' = neg_inv_limb m.(0) in
+    let t = Array.make (k + 1) 0 in
+    let mmul a b out = mont_mul m m0' t a b out in
+    (* base·R mod m, by one division, padded to k limbs. *)
+    let bm = Array.make k 0 in
+    let br = rem (shift_limbs base k) m in
+    Array.blit br 0 bm 0 (Array.length br);
     let w = window_bits (num_bits exp) in
-    let bm = mont_redc g (mul (rem base modulus) g.mg_r2) in
     (* Odd powers bm^1, bm^3, ... bm^(2^w - 1), in Montgomery form. *)
     let odd = Array.make (1 lsl (w - 1)) bm in
     if w > 1 then begin
-      let b2 = mont_mul g bm bm in
+      let b2 = Array.make k 0 in
+      mmul bm bm b2;
       for i = 1 to Array.length odd - 1 do
-        odd.(i) <- mont_mul g odd.(i - 1) b2
+        let o = Array.make k 0 in
+        mmul odd.(i - 1) b2 o;
+        odd.(i) <- o
       done
     end;
-    let result = ref g.mg_one in
+    (* Left to right.  The top bit is set, so the first window loads acc
+       directly instead of squaring a Montgomery 1. *)
+    let acc = Array.make k 0 in
+    let started = ref false in
     let i = ref (num_bits exp - 1) in
     while !i >= 0 do
       if not (testbit exp !i) then begin
-        result := mont_mul g !result !result;
+        mmul acc acc acc;
         decr i
       end
       else begin
         (* Longest window ending in a set bit, at most w bits. *)
-        let l = max 0 (!i - w + 1) in
-        let l = ref l in
-        while not (testbit exp !l) do incr l done;
-        let width = !i - !l + 1 in
+        let l = ref (max 0 (!i - w + 1)) in
+        while not (testbit exp !l) do
+          incr l
+        done;
         let v = ref 0 in
         for b = !i downto !l do
           v := (!v lsl 1) lor (if testbit exp b then 1 else 0)
         done;
-        for _ = 1 to width do
-          result := mont_mul g !result !result
-        done;
-        result := mont_mul g !result odd.(!v lsr 1);
+        if !started then begin
+          for _ = !l to !i do
+            mmul acc acc acc
+          done;
+          mmul acc odd.(!v lsr 1) acc
+        end
+        else begin
+          Array.blit odd.(!v lsr 1) 0 acc 0 k;
+          started := true
+        end;
         i := !l - 1
       end
     done;
-    mont_redc g !result
+    (* Leave Montgomery form: multiply by a plain 1. *)
+    let one_k = Array.make k 0 in
+    one_k.(0) <- 1;
+    mmul acc one_k acc;
+    normalize acc
   end
 
-let rec gcd (a : t) (b : t) : t = if is_zero b then a else gcd b (rem a b)
+(* Binary (Stein) gcd over two working copies: strip the common power of
+   two, then repeatedly replace the larger odd value by (larger - smaller)
+   with its trailing zeros shifted out, until the two meet.  Each step is
+   one in-place subtraction and one in-place shift; no division. *)
+let gcd (a : t) (b : t) : t =
+  if is_zero a then b
+  else if is_zero b then a
+  else begin
+    (* Trailing zero bits of a nonzero x: the scan stops at its lowest
+       nonzero limb, so limbs above the live length are never read. *)
+    let tz (x : int array) =
+      let i = ref 0 in
+      while x.(!i) = 0 do
+        incr i
+      done;
+      let v = ref x.(!i) and z = ref (!i * limb_bits) in
+      while !v land 1 = 0 do
+        v := !v lsr 1;
+        incr z
+      done;
+      !z
+    in
+    (* The live length of x.(0..len-1) once its zero top limbs are dropped. *)
+    let trim (x : int array) (len : int) : int =
+      let n = ref len in
+      while !n > 0 && x.(!n - 1) = 0 do
+        decr n
+      done;
+      !n
+    in
+    (* x.(0..len-1) >>= bits in place; returns the new live length. *)
+    let shr (x : int array) (len : int) (bits : int) : int =
+      let limbs = bits / limb_bits and off = bits mod limb_bits in
+      for i = 0 to len - limbs - 1 do
+        let hi = if i + limbs + 1 < len then x.(i + limbs + 1) else 0 in
+        x.(i) <- ((x.(i + limbs) lsr off) lor (hi lsl (limb_bits - off))) land limb_mask
+      done;
+      trim x (len - limbs)
+    in
+    (* x.(0..lx-1) -= y.(0..ly-1) in place (x >= y); returns the new live length. *)
+    let sub_in (x : int array) (lx : int) (y : int array) (ly : int) : int =
+      let borrow = ref 0 in
+      for i = 0 to lx - 1 do
+        let d = x.(i) - (if i < ly then y.(i) else 0) + !borrow in
+        x.(i) <- d land limb_mask;
+        borrow := d asr limb_bits
+      done;
+      trim x lx
+    in
+    let cmp (x : int array) lx (y : int array) ly =
+      if lx <> ly then Stdlib.compare lx ly
+      else begin
+        let i = ref (lx - 1) in
+        while !i >= 0 && x.(!i) = y.(!i) do
+          decr i
+        done;
+        if !i < 0 then 0 else Stdlib.compare x.(!i) y.(!i)
+      end
+    in
+    let u = Array.copy a and v = Array.copy b in
+    let zu = tz u and zv = tz v in
+    let lu = ref (shr u (Array.length u) zu) and lv = ref (shr v (Array.length v) zv) in
+    let c = ref (cmp u !lu v !lv) in
+    while !c <> 0 do
+      if !c > 0 then begin
+        lu := sub_in u !lu v !lv;
+        lu := shr u !lu (tz u)
+      end
+      else begin
+        lv := sub_in v !lv u !lu;
+        lv := shr v !lv (tz v)
+      end;
+      c := cmp u !lu v !lv
+    done;
+    shift_left (Array.sub u 0 !lu) (min zu zv)
+  end
 
 let of_bytes_be (s : string) : t =
   let n = String.length s in

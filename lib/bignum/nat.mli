@@ -44,10 +44,12 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
 val modexp : base:t -> exp:t -> modulus:t -> t
-(** Montgomery multiplication with sliding-window exponentiation
-    (window 4–5 at cryptographic sizes): per-modulus precomputed
-    -m⁻¹ mod R and R² replace {!modexp_reference}'s full division per
-    step.  Falls back to the reference path for even moduli. *)
+(** Sliding-window exponentiation (window 4–5 at cryptographic sizes)
+    over CIOS Montgomery products: each product interleaves the
+    multiply with a word-by-word reduction driven by the one-limb
+    [-m⁻¹ mod 2^26], in place over buffers allocated once per call,
+    where {!modexp_reference} divides at every step.  Falls back to the
+    reference path for even moduli. *)
 
 val modexp_reference : base:t -> exp:t -> modulus:t -> t
 (** Binary exponentiation with a division per step: the slow, obviously

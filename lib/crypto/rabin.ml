@@ -110,20 +110,25 @@ let mgf1 (seed : string) (len : int) : string =
 
 (* --- Square roots mod n via CRT --- *)
 
-let half_exp p = Nat.shift_right (Nat.sub p Nat.one) 1 (* (p-1)/2 *)
+(* The CRT coefficient p⁻¹ mod q, computed once per call and shared by
+   every root combined under it. *)
+let crt_coefficient (sk : priv) : Nat.t =
+  match Modarith.inverse ~x:sk.p ~modulus:sk.q with
+  | Some c -> c
+  | None -> invalid_arg "Rabin: p and q not coprime"
 
-let is_qr_mod (x : Nat.t) (p : Nat.t) : bool =
-  Nat.equal (Nat.modexp ~base:x ~exp:(half_exp p) ~modulus:p) Nat.one
+(* The x < n with x ≡ rp (mod p) and x ≡ rq (mod q): Garner's form
+   rp + p·((rq - rp)·p⁻¹ mod q). *)
+let crt_combine (sk : priv) (coeff : Nat.t) (rp : Nat.t) (rq : Nat.t) : Nat.t =
+  Nat.add rp (Nat.mul sk.p (Modarith.mulmod (Modarith.submod rq rp sk.q) coeff sk.q))
 
 (* All four square roots of a residue x mod n = pq. *)
 let sqrts (sk : priv) (x : Nat.t) : Nat.t list =
   match (Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.p) ~p:sk.p, Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.q) ~p:sk.q) with
   | Some rp, Some rq ->
-      let n = sk.pub.n in
-      let combine a b = Modarith.crt ~r1:a ~m1:sk.p ~r2:b ~m2:sk.q in
+      let combine = crt_combine sk (crt_coefficient sk) in
       let rp' = Modarith.negmod rp sk.p and rq' = Modarith.negmod rq sk.q in
       [ combine rp rq; combine rp rq'; combine rp' rq; combine rp' rq' ]
-      |> List.map (fun r -> Nat.rem r n)
   | _ -> []
 
 (* --- Signatures --- *)
@@ -141,21 +146,23 @@ let fdh (pk : pub) (message : string) : Nat.t =
 let sign (sk : priv) (message : string) : signature =
   let n = sk.pub.n in
   let m = fdh sk.pub message in
-  (* Apply the {1,2} tweak to reach Jacobi symbol +1. *)
+  (* Apply the {1,2} tweak to reach Jacobi symbol +1.  n is odd (jacobi
+     rejects an even modulus), so 2⁻¹ mod n is (n+1)/2. *)
   let double = Modarith.jacobi m n <> 1 in
-  let m1 =
-    if double then
-      match Modarith.inverse ~x:Nat.two ~modulus:n with
-      | Some inv2 -> Modarith.mulmod m inv2 n
-      | None -> assert false (* n is odd *)
-    else m
+  let m1 = if double then Modarith.mulmod m (Nat.shift_right (Nat.add n Nat.one) 1) n else m in
+  (* Apply the {1,-1} tweak to reach an actual residue.  The root attempt
+     mod p doubles as Euler's criterion: it squares back exactly when
+     m1 is a nonzero residue mod p; otherwise -m1 is the residue. *)
+  let xp = Nat.rem m1 sk.p in
+  let negate, rp =
+    match Modarith.sqrt_3mod4 ~x:xp ~p:sk.p with
+    | Some r when not (Nat.is_zero xp) -> (false, Some r)
+    | _ -> (true, Modarith.sqrt_3mod4 ~x:(Modarith.negmod xp sk.p) ~p:sk.p)
   in
-  (* Apply the {1,-1} tweak to reach an actual residue. *)
-  let negate = not (is_qr_mod (Nat.rem m1 sk.p) sk.p) in
   let m2 = if negate then Modarith.negmod m1 n else m1 in
-  match sqrts sk m2 with
-  | root :: _ -> { root; negate; double }
-  | [] ->
+  match (rp, Modarith.sqrt_3mod4 ~x:(Nat.rem m2 sk.q) ~p:sk.q) with
+  | Some rp, Some rq -> { root = crt_combine sk (crt_coefficient sk) rp rq; negate; double }
+  | _ ->
       (* m shares a factor with n: the signer's key is broken. *)
       failwith "Rabin.sign: message hash not invertible (degenerate key)"
 

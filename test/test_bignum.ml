@@ -69,6 +69,24 @@ let test_divmod_qhat () =
       Testkit.check_bool "r < b" true (Nat.compare r b < 0))
     cases
 
+(* Algorithm D's add-back step: the two-limb estimate, even after the
+   v[n-2] correction, is one too large, the in-place multiply-subtract
+   goes negative and v is added back.  These limb patterns (half-base,
+   all-ones and zero limbs) reach it; random operands almost never do. *)
+let test_divmod_addback () =
+  List.iter
+    (fun (a, b) ->
+      let a = Nat.of_hex a and b = Nat.of_hex b in
+      let q, r = Nat.divmod a b in
+      Testkit.check_bool "a = q*b + r" true (Nat.equal a (Nat.add (Nat.mul q b) r));
+      Testkit.check_bool "r < b" true (Nat.compare r b < 0))
+    [
+      ("8000003ffffff000000200000064d4a17dae2e8", "8000003ffffffffffffc000000");
+      ("ffffffc00000180000020000007fffffe000000", "20000000000003439730");
+      ("8000003ffffff00000020000000000003ffffff", "3ffffff0000002000000");
+      ("7fffffc00000100000060000007ffffffffffff", "1ffffff8000003ffffff");
+    ]
+
 let test_gcd () =
   check_nat "gcd" (n "6") (Nat.gcd (n "48") (n "18"));
   check_nat "gcd coprime" Nat.one (Nat.gcd (n "17") (n "31"));
@@ -154,6 +172,72 @@ let wide_arb = QCheck.make ~print:Nat.to_string wide_gen
 let wide_nonzero_arb =
   QCheck.make ~print:Nat.to_string (QCheck.Gen.map (fun x -> Nat.add x Nat.one) wide_gen)
 
+(* Operands of an exact limb count (26-bit limbs) at the widths the
+   Rabin and SRP moduli take, in the shapes that stress long division
+   and Montgomery reduction: uniformly random, all ones, and just above
+   or just below a power of two.  Built from shifts and adds only, so
+   the kernels under test do not generate their own inputs. *)
+let crypto_limbs = [ 10; 15; 20; 40 ]
+
+let exact_bits_gen (nbits : int) : Nat.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let top = Nat.shift_left Nat.one (nbits - 1) and pow = Nat.shift_left Nat.one nbits in
+  (* Offsets below 2^(nbits-1), so the shapes keep exactly nbits bits. *)
+  let near = min 1000 (1 lsl (min nbits 11 - 1)) in
+  oneof
+    [
+      map
+        (fun s -> Nat.add top (Nat.shift_right (Nat.of_bytes_be s) ((8 * String.length s) - (nbits - 1))))
+        (string_size ~gen:char (return ((nbits + 7) / 8)));
+      return (Nat.sub pow Nat.one);
+      map (fun d -> Nat.add top (Nat.of_int d)) (int_range 0 (near - 1));
+      map (fun d -> Nat.sub pow (Nat.of_int d)) (int_range 1 near);
+    ]
+
+(* A bit length whose limb count is one of [crypto_limbs]. *)
+let crypto_bits_gen : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneofl crypto_limbs >>= fun k -> int_range (((k - 1) * 26) + 1) (k * 26)
+
+(* (a, b) with b at a crypto width and a anywhere from zero to a bit
+   over twice b's width: quotients of one limb up to b's full width. *)
+let crypto_divmod_arb =
+  let open QCheck.Gen in
+  let gen =
+    crypto_bits_gen >>= fun db ->
+    pair (int_range 0 ((2 * db) + 60) >>= fun ab -> if ab = 0 then return Nat.zero else exact_bits_gen ab)
+      (exact_bits_gen db)
+  in
+  QCheck.make ~print:(QCheck.Print.pair Nat.to_string Nat.to_string) gen
+
+(* (base, exp, modulus): an odd modulus at a crypto width, a base up to
+   twice as wide, an exponent wide enough to reach every window width. *)
+let crypto_modexp_arb =
+  let open QCheck.Gen in
+  let gen =
+    crypto_bits_gen >>= fun mb ->
+    triple
+      (int_range 1 (2 * mb) >>= exact_bits_gen)
+      (int_range 1 800 >>= exact_bits_gen)
+      (map (fun m -> if Nat.testbit m 0 then m else Nat.add m Nat.one) (exact_bits_gen mb))
+  in
+  QCheck.make ~print:(QCheck.Print.triple Nat.to_string Nat.to_string Nat.to_string) gen
+
+(* Euclid by repeated remainder: the oracle the binary gcd is checked
+   against. *)
+let rec euclid_gcd a b = if Nat.is_zero b then a else euclid_gcd b (Nat.rem a b)
+
+(* (g·x, g·y) with a wide shared factor g that often carries a power of
+   two, so the common-twos path and long subtract runs both occur. *)
+let gcd_pair_arb =
+  let open QCheck.Gen in
+  let gen =
+    triple (pair wide_gen (int_range 0 80)) wide_gen wide_gen >>= fun ((g, twos), x, y) ->
+    let g = Nat.shift_left (Nat.add g Nat.one) twos in
+    return (Nat.mul g x, Nat.mul g y)
+  in
+  QCheck.make ~print:(QCheck.Print.pair Nat.to_string Nat.to_string) gen
+
 let props =
   let open QCheck in
   [
@@ -219,6 +303,13 @@ let props =
              (Nat.modexp_reference ~base:b ~exp:Nat.one ~modulus:m)
         && Nat.equal (Nat.modexp ~base:b ~exp:b ~modulus:Nat.one)
              (Nat.modexp_reference ~base:b ~exp:b ~modulus:Nat.one));
+    Test.make ~count:300 ~name:"divmod identity at crypto widths" crypto_divmod_arb (fun (a, b) ->
+        let q, r = Nat.divmod a b in
+        Nat.equal a (Nat.add (Nat.mul q b) r) && Nat.compare r b < 0);
+    Test.make ~count:60 ~name:"montgomery modexp at crypto widths" crypto_modexp_arb (fun (b, e, m) ->
+        Nat.equal (Nat.modexp ~base:b ~exp:e ~modulus:m) (Nat.modexp_reference ~base:b ~exp:e ~modulus:m));
+    Test.make ~count:200 ~name:"binary gcd agrees with euclid" gcd_pair_arb (fun (a, b) ->
+        Nat.equal (Nat.gcd a b) (euclid_gcd a b) && Nat.equal (Nat.gcd b a) (euclid_gcd a b));
     (* Karatsuba vs schoolbook, directly: operands wide enough to split
        (and recurse) against products small enough to stay schoolbook,
        cross-checked through the distributive law with single-limb
@@ -240,6 +331,7 @@ let suite =
       Alcotest.test_case "bit operations" `Quick test_bits;
       Alcotest.test_case "modexp" `Quick test_modexp;
       Alcotest.test_case "divmod qhat walk-down" `Quick test_divmod_qhat;
+      Alcotest.test_case "divmod add-back step" `Quick test_divmod_addback;
       Alcotest.test_case "gcd" `Quick test_gcd;
       Alcotest.test_case "modular inverse" `Quick test_inverse;
       Alcotest.test_case "jacobi symbol" `Quick test_jacobi;

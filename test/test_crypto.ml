@@ -237,6 +237,62 @@ let test_rabin_blob () =
   Bytes.set tampered last (Char.chr (Char.code (Bytes.get tampered last) lxor 1));
   Alcotest.(check (option string)) "tampered" None (Rabin.decrypt_blob sk (Bytes.to_string tampered))
 
+(* Golden Rabin-Williams vectors, recorded before the in-place bignum
+   kernels replaced the allocating ones.  Each entry is the SHA-1 (hex)
+   of a canonical rendering, so key generation (prime search and its
+   Miller-Rabin draws), square-root choice, tweak bits, OAEP padding and
+   PRNG consumption are all pinned: any drift changes wire bytes. *)
+let rabin_golden_vectors () : (string * string) list =
+  let hex_digest s = Sfs_util.Hex.encode (Sha1.digest s) in
+  let nat_bytes x = Nat.to_bytes_be x in
+  let key bits = Rabin.generate ~bits (Prng.create [ Printf.sprintf "rabin-golden-%d" bits ]) in
+  let k384 = key 384 and k512 = key 512 in
+  let sigs sk =
+    String.concat "|"
+      (List.init 32 (fun i -> Rabin.signature_to_string (Rabin.sign sk (Printf.sprintf "golden message %d" i))))
+  in
+  let enc_rng = Prng.create [ "rabin-golden-enc" ] in
+  let msgs = List.init 8 (fun i -> Printf.sprintf "session key %d" i) in
+  let cts = List.map (Rabin.encrypt k512.Rabin.pub enc_rng) msgs in
+  let show = function Some s -> "+" ^ s | None -> "-" in
+  let decrypts cs = String.concat "|" (List.map (fun c -> show (Rabin.decrypt k512 c)) cs) in
+  let roots = List.concat_map (fun c -> List.map nat_bytes (Rabin.sqrts k512 c)) cts in
+  let blob = String.init 300 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let blobs = List.init 4 (fun _ -> Rabin.encrypt_blob k512.Rabin.pub enc_rng blob) in
+  [
+    ("n384", hex_digest (nat_bytes k384.Rabin.pub.Rabin.n));
+    ("n512", hex_digest (nat_bytes k512.Rabin.pub.Rabin.n));
+    ("sigs384", hex_digest (sigs k384));
+    ("sigs512", hex_digest (sigs k512));
+    ("ciphertexts", hex_digest (String.concat "|" (List.map nat_bytes cts)));
+    ("sqrts", hex_digest (String.concat "|" roots));
+    ("decrypts", hex_digest (decrypts cts));
+    ("decrypts tampered", hex_digest (decrypts (List.map (fun c -> Nat.add c Nat.one) cts)));
+    ("blobs", hex_digest (String.concat "|" blobs));
+    ("blob decrypts", hex_digest (String.concat "|" (List.map (fun b -> show (Rabin.decrypt_blob k512 b)) blobs)));
+  ]
+
+let test_rabin_golden () =
+  let expected =
+    [
+    ("n384", "77d159d8c3e09eeaa8dc6b6f2d5f13c413cad614");
+    ("n512", "fab83f360548f377bff23c2581b0c7e643ad8604");
+    ("sigs384", "5356e5e50df3ff758103c642b2f60ee7c86d4da4");
+    ("sigs512", "8296b7d00b4eab79a4c60089c7a4c0db24640670");
+    ("ciphertexts", "cf09ca459db49b7e4a0f0a61293a2e3e424aeef4");
+    ("sqrts", "8c6082ee8d39dec3126a78f51490f67c9592b63a");
+    ("decrypts", "32ca79f8b62544e626fd5a9bfe1020b736c1ddb9");
+    ("decrypts tampered", "50fd0b63cfa26657352cdc1822d5cbac738fc47f");
+    ("blobs", "d3de5bce6da83b1e22ed8f75f6e1eb02b6b69ec8");
+    ("blob decrypts", "3218f96a95cd306c022f9e4a9057b35122d6d61d");
+    ]
+  in
+  List.iter2
+    (fun (name, want) (name', got) ->
+      Testkit.check_string "vector name" name name';
+      Testkit.check_string name want got)
+    expected (rabin_golden_vectors ())
+
 let test_rabin_pub_serialization () =
   let sk = Lazy.force test_key in
   let pk = sk.Rabin.pub in
@@ -465,6 +521,7 @@ let suite =
       Alcotest.test_case "rabin encryption" `Quick test_rabin_encrypt;
       Alcotest.test_case "rabin hybrid blob" `Quick test_rabin_blob;
       Alcotest.test_case "rabin pub serialization" `Quick test_rabin_pub_serialization;
+      Alcotest.test_case "rabin golden vectors" `Quick test_rabin_golden;
       Alcotest.test_case "srp agreement" `Quick test_srp_agreement;
       Alcotest.test_case "srp wrong password" `Quick test_srp_wrong_password;
       Alcotest.test_case "srp server proof" `Quick test_srp_server_proof;
