@@ -1,25 +1,17 @@
 (* Bounded LRU over verified read-only objects, keyed by content hash.
 
-   The structure is the classic hash table + intrusive doubly-linked
-   recency list with a sentinel: find/add are O(1), eviction pops the
-   tail.  Content addressing makes invalidation unnecessary — a hash
-   names its bytes forever — so the only reason an entry leaves is
-   capacity (or an explicit [clear]). *)
+   The structure is the shared [Lru] (hash table + intrusive
+   doubly-linked recency list): find/add are O(1), a hit refreshes
+   recency, eviction pops the oldest entry.  Content addressing makes
+   invalidation unnecessary — a hash names its bytes forever — so the
+   only reason an entry leaves is capacity (or an explicit [clear]). *)
 
 module Ro = Sfs_proto.Readonly_proto
 module Obs = Sfs_obs.Obs
-
-type node = {
-  n_hash : string;
-  n_obj : Ro.obj;
-  n_bytes : int;
-  mutable n_prev : node; (* toward most-recent *)
-  mutable n_next : node; (* toward least-recent *)
-}
+module Lru = Sfs_util.Lru
 
 type t = {
-  tbl : (string, node) Hashtbl.t;
-  sentinel : node; (* sentinel.n_next = most recent, sentinel.n_prev = least *)
+  lru : (string, Ro.obj * int (* marshaled bytes *)) Lru.t;
   cap : int;
   obs : Obs.registry option;
   mutable live_bytes : int;
@@ -27,62 +19,39 @@ type t = {
 
 let create ?obs ~(cap : int) () : t =
   if cap < 1 then invalid_arg "Vcache.create: cap must be >= 1";
-  let rec sentinel =
-    { n_hash = ""; n_obj = Ro.O_file ""; n_bytes = 0; n_prev = sentinel; n_next = sentinel }
-  in
-  { tbl = Hashtbl.create (min cap 256); sentinel; cap; obs; live_bytes = 0 }
-
-let unlink (n : node) : unit =
-  n.n_prev.n_next <- n.n_next;
-  n.n_next.n_prev <- n.n_prev
-
-let push_front (t : t) (n : node) : unit =
-  n.n_prev <- t.sentinel;
-  n.n_next <- t.sentinel.n_next;
-  t.sentinel.n_next.n_prev <- n;
-  t.sentinel.n_next <- n
+  { lru = Lru.create (min cap 256); cap; obs; live_bytes = 0 }
 
 let find (t : t) (hash : string) : Ro.obj option =
-  match Hashtbl.find_opt t.tbl hash with
-  | Some n ->
-      unlink n;
-      push_front t n;
+  match Lru.find t.lru hash with
+  | Some (o, bytes) ->
+      Lru.promote t.lru hash;
       Obs.incr t.obs "ro.verify.hit";
-      Obs.add t.obs "ro.verify.hit_bytes" n.n_bytes;
-      Some n.n_obj
+      Obs.add t.obs "ro.verify.hit_bytes" bytes;
+      Some o
   | None ->
       Obs.incr t.obs "ro.verify.miss";
       None
 
 let evict_lru (t : t) : unit =
-  let lru = t.sentinel.n_prev in
-  if lru != t.sentinel then begin
-    unlink lru;
-    Hashtbl.remove t.tbl lru.n_hash;
-    t.live_bytes <- t.live_bytes - lru.n_bytes;
-    Obs.incr t.obs "ro.vcache.evict"
-  end
+  match Lru.pop_oldest t.lru with
+  | Some (_, (_, bytes)) ->
+      t.live_bytes <- t.live_bytes - bytes;
+      Obs.incr t.obs "ro.vcache.evict"
+  | None -> ()
 
 let add (t : t) ~(hash : string) ~(bytes : int) (o : Ro.obj) : unit =
-  (match Hashtbl.find_opt t.tbl hash with
-  | Some old ->
+  (match Lru.find t.lru hash with
+  | Some (_, old_bytes) ->
       (* re-verification of a cached hash (e.g. after a racing miss):
          keep one entry, refresh recency *)
-      unlink old;
-      Hashtbl.remove t.tbl hash;
-      t.live_bytes <- t.live_bytes - old.n_bytes
-  | None -> ());
-  if Hashtbl.length t.tbl >= t.cap then evict_lru t;
-  let rec n = { n_hash = hash; n_obj = o; n_bytes = bytes; n_prev = n; n_next = n } in
-  Hashtbl.replace t.tbl hash n;
-  t.live_bytes <- t.live_bytes + bytes;
-  push_front t n
+      t.live_bytes <- t.live_bytes - old_bytes
+  | None -> if Lru.length t.lru >= t.cap then evict_lru t);
+  Lru.replace t.lru hash (o, bytes);
+  t.live_bytes <- t.live_bytes + bytes
 
-let count (t : t) : int = Hashtbl.length t.tbl
+let count (t : t) : int = Lru.length t.lru
 let bytes (t : t) : int = t.live_bytes
 
 let clear (t : t) : unit =
-  Hashtbl.reset t.tbl;
-  t.sentinel.n_next <- t.sentinel;
-  t.sentinel.n_prev <- t.sentinel;
+  Lru.clear t.lru;
   t.live_bytes <- 0

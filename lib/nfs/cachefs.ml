@@ -24,6 +24,7 @@ module Simos = Sfs_os.Simos
 module Simclock = Sfs_net.Simclock
 module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
+module Lru = Sfs_util.Lru
 
 type policy = {
   attr_ttl_s : float; (* fixed attribute timeout when no lease is used *)
@@ -76,16 +77,12 @@ type t = {
   (* Block data is stored as slices: on the zero-copy transports these
      are views into the opened wire frame (no per-block copy between
      the channel and here); elsewhere they wrap whole strings for
-     free. *)
-  blocks : (fh * int, Slice.t) Hashtbl.t;
-  mutable block_lru : (fh * int) list;
+     free.  Eviction follows insertion/write order: storing a block
+     makes it the newest, a read hit does not refresh it, and the
+     oldest goes first once [cached_bytes] exceeds the budget.
+     Changing that rule moves simulated figures (EXPERIMENTS.md). *)
+  blocks : (fh * int, Slice.t) Lru.t;
   mutable cached_bytes : int;
-  mutable lookups : int;
-  mutable lookup_hits : int;
-  mutable getattrs : int;
-  mutable getattr_hits : int;
-  mutable reads : int;
-  mutable read_hits : int;
   obs : Obs.registry option;
 }
 
@@ -101,63 +98,45 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
     obs;
     pipeline;
     write_behind;
-    inflight = Hashtbl.create 64;
-    last_read = Hashtbl.create 64;
+    (* Every table starts small and grows on demand: a fleet holds
+       thousands of clients, most of which cache a handful of
+       entries. *)
+    inflight = Hashtbl.create 16;
+    last_read = Hashtbl.create 16;
     wbuf = None;
-    attrs = Hashtbl.create 512;
-    names = Hashtbl.create 512;
-    access_cache = Hashtbl.create 512;
-    negatives = Hashtbl.create 512;
-    blocks = Hashtbl.create 4096;
-    block_lru = [];
+    attrs = Hashtbl.create 16;
+    names = Hashtbl.create 16;
+    access_cache = Hashtbl.create 16;
+    negatives = Hashtbl.create 16;
+    blocks = Lru.create 16;
     cached_bytes = 0;
-    lookups = 0;
-    lookup_hits = 0;
-    getattrs = 0;
-    getattr_hits = 0;
-    reads = 0;
-    read_hits = 0;
   }
 
 let drop_blocks (t : t) (h : fh) : unit =
-  let doomed = Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.blocks [] in
-  List.iter
-    (fun k ->
-      (match Hashtbl.find_opt t.blocks k with
-      | Some data -> t.cached_bytes <- t.cached_bytes - Slice.length data
-      | None -> ());
-      Hashtbl.remove t.blocks k)
-    doomed;
-  if doomed <> [] then t.block_lru <- List.filter (fun k -> not (List.mem k doomed)) t.block_lru
+  Lru.filter_inplace
+    (fun (f, _) data ->
+      let keep = f <> h in
+      if not keep then t.cached_bytes <- t.cached_bytes - Slice.length data;
+      keep)
+    t.blocks
 
-let drop_access (t : t) (h : fh) : unit =
-  let doomed =
-    Hashtbl.fold (fun (f, u, m) _ acc -> if f = h then (f, u, m) :: acc else acc) t.access_cache []
-  in
-  List.iter (Hashtbl.remove t.access_cache) doomed
-
-(* Abandon submitted readahead for a handle: the replies are simply
-   never awaited (the dispatcher force-completes their tickets under
-   window pressure, as a real client would discard stale replies). *)
-let drop_inflight (t : t) (h : fh) : unit =
-  let doomed =
-    Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.inflight []
-  in
-  List.iter (Hashtbl.remove t.inflight) doomed
+(* Collect, then remove: the result does not depend on the table's
+   iteration order. *)
+let remove_where (tbl : ('k, 'v) Hashtbl.t) (doomed : 'k -> 'v -> bool) : unit =
+  List.iter (Hashtbl.remove tbl) (Hashtbl.fold (fun k v acc -> if doomed k v then k :: acc else acc) tbl [])
 
 let invalidate_fh (t : t) (h : fh) : unit =
   Hashtbl.remove t.attrs h;
-  drop_access t h;
+  remove_where t.access_cache (fun (f, _, _) _ -> f = h);
   drop_blocks t h;
-  drop_inflight t h;
+  (* Submitted readahead is abandoned: the replies are simply never
+     awaited (the dispatcher force-completes their tickets under window
+     pressure, as a real client would discard stale replies). *)
+  remove_where t.inflight (fun (f, _) _ -> f = h);
   Hashtbl.remove t.last_read h;
   (* Name entries pointing into or out of this handle go too. *)
-  let doomed =
-    Hashtbl.fold (fun (d, n) (tgt, _) acc -> if d = h || tgt = h then (d, n) :: acc else acc) t.names []
-  in
-  List.iter (Hashtbl.remove t.names) doomed;
-  let doomed_neg = Hashtbl.fold (fun (d, n) _ acc -> if d = h then (d, n) :: acc else acc) t.negatives [] in
-  List.iter (Hashtbl.remove t.negatives) doomed_neg
+  remove_where t.names (fun (d, _) (tgt, _) -> d = h || tgt = h);
+  remove_where t.negatives (fun (d, _) _ -> d = h)
 
 let drain_invalidations (t : t) : unit =
   if t.policy.use_leases then begin
@@ -175,10 +154,9 @@ let invalidate_all (t : t) : unit =
   Hashtbl.reset t.names;
   Hashtbl.reset t.access_cache;
   Hashtbl.reset t.negatives;
-  Hashtbl.reset t.blocks;
+  Lru.clear t.blocks;
   Hashtbl.reset t.inflight;
   Hashtbl.reset t.last_read;
-  t.block_lru <- [];
   t.cached_bytes <- 0
 
 let charge_hit (t : t) (bytes : int) : unit =
@@ -202,34 +180,28 @@ let fresh_attr (t : t) (h : fh) : attr_entry option =
   | Some e when e.expires_us > Simclock.now_us t.clock -> Some e
   | _ -> None
 
-let evict_blocks_if_needed (t : t) : unit =
-  while t.cached_bytes > t.policy.data_cache_bytes do
-    match List.rev t.block_lru with
-    | [] ->
-        Hashtbl.reset t.blocks;
-        t.cached_bytes <- 0
-    | victim :: _ ->
-        (match Hashtbl.find_opt t.blocks victim with
-        | Some data -> t.cached_bytes <- t.cached_bytes - Slice.length data
-        | None -> ());
-        Hashtbl.remove t.blocks victim;
-        t.block_lru <- List.filter (fun k -> k <> victim) t.block_lru
-  done
+let rec evict_blocks_if_needed (t : t) : unit =
+  if t.cached_bytes > t.policy.data_cache_bytes then
+    match Lru.pop_oldest t.blocks with
+    | Some (_, data) ->
+        t.cached_bytes <- t.cached_bytes - Slice.length data;
+        evict_blocks_if_needed t
+    | None -> ()
 
 let note_block (t : t) (h : fh) (block : int) (data : Slice.t) : unit =
-  (match Hashtbl.find_opt t.blocks (h, block) with
+  (match Lru.find t.blocks (h, block) with
   | Some old -> t.cached_bytes <- t.cached_bytes - Slice.length old
   | None -> ());
-  Hashtbl.replace t.blocks (h, block) data;
+  Lru.replace t.blocks (h, block) data;
   t.cached_bytes <- t.cached_bytes + Slice.length data;
-  t.block_lru <- (h, block) :: List.filter (fun k -> k <> (h, block)) t.block_lru;
   evict_blocks_if_needed t
 
 (* Name-cache entry lifetime: under leases a directory entry cannot
    change without a server callback, so names live as long as the
    accompanying attribute lease; NFS-style caching uses the fixed TTL. *)
-let name_ttl_s (t : t) (a : fattr) : float =
-  if t.policy.use_leases && a.lease > 0 then float_of_int a.lease else t.policy.attr_ttl_s
+let note_name (t : t) ~(dir : fh) (name : string) (target : fh) (a : fattr) : unit =
+  let ttl_s = if t.policy.use_leases && a.lease > 0 then float_of_int a.lease else t.policy.attr_ttl_s in
+  Hashtbl.replace t.names (dir, name) (target, Simclock.now_us t.clock +. (ttl_s *. 1_000_000.0))
 
 (* Client-side permission enforcement for cache hits.  The cache is
    shared between local users (safe for consistency because they named
@@ -246,8 +218,23 @@ let may (cred : Simos.cred) (a : fattr) ~(want : int) : bool =
 
 let ( let* ) = Result.bind
 
-let stats (t : t) : (int * int) * (int * int) * (int * int) =
-  ((t.getattrs, t.getattr_hits), (t.lookups, t.lookup_hits), (t.reads, t.read_hits))
+(* After our own change to [dir]: leases stay valid for us (the server
+   only calls back other holders); NFS-style caching conservatively
+   drops the directory's attributes. *)
+let dir_changed (t : t) (dir : fh) : unit = if not t.policy.use_leases then Hashtbl.remove t.attrs dir
+
+let note_created (t : t) ~(dir : fh) (name : string) (r : (fh * fattr) res) : (fh * fattr) res =
+  let* h, a = r in
+  dir_changed t dir;
+  note_attr t h a;
+  note_name t ~dir name h a;
+  Ok (h, a)
+
+let note_removed (t : t) ~(dir : fh) (name : string) (r : unit res) : unit res =
+  let* () = r in
+  Hashtbl.remove t.names (dir, name);
+  dir_changed t dir;
+  Ok ()
 
 (* --- Write-behind --- *)
 
@@ -289,6 +276,12 @@ let flush_for (t : t) (h : fh) : unit =
 
 (* --- Readahead --- *)
 
+(* A one-block read reply: attributes first, then the block when it is
+   full or the file's tail. *)
+let note_fetched (t : t) (h : fh) (b : int) ((data, eof, a) : Slice.t * bool * fattr) : unit =
+  note_attr t h a;
+  if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then note_block t h b data
+
 (* Await previously submitted readahead covering the demanded blocks;
    successful replies feed the block cache (turning this read into a
    hit), failures are ignored — the synchronous path will re-fetch and
@@ -299,13 +292,7 @@ let claim_inflight (t : t) (h : fh) (first : int) (last : int) : unit =
     | None -> ()
     | Some thunk -> (
         Hashtbl.remove t.inflight (h, b);
-        match thunk () with
-        | Ok (data, eof, a) ->
-            note_attr t h a;
-            if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then
-              note_block t h b data
-        | Error _ -> ()
-        | exception _ -> ())
+        match thunk () with Ok r -> note_fetched t h b r | Error _ -> () | exception _ -> ())
   done
 
 (* Track sequential consumption per handle: the run length of
@@ -331,7 +318,7 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
          for b = next to next + pl.Fs_intf.pl_depth - 1 do
            if
              b * block_size < size
-             && (not (Hashtbl.mem t.blocks (h, b)))
+             && (not (Lru.mem t.blocks (h, b)))
              && not (Hashtbl.mem t.inflight (h, b))
            then
              match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
@@ -350,27 +337,23 @@ let serve_cached (t : t) (h : fh) ~(off : int) ~(count : int) : (string * bool *
   | None -> None
   | Some e ->
       let size = e.attr.size in
-      let avail = max 0 (size - off) in
-      let n = min count avail in
-      let buf = Buffer.create n in
-      let pos = ref off in
-      let ok = ref true in
-      while !ok && Buffer.length buf < n do
-        let b = !pos / block_size in
-        match Hashtbl.find_opt t.blocks (h, b) with
-        | None -> ok := false
-        | Some data ->
-            let block_off = !pos - (b * block_size) in
-            if block_off >= Slice.length data then ok := false
-            else begin
-              let take = min (Slice.length data - block_off) (n - Buffer.length buf) in
-              Slice.add_to_buffer buf data ~off:block_off ~len:take;
-              pos := !pos + take
-            end
-      done;
-      if !ok then begin
+      let stop = off + min count (max 0 (size - off)) in
+      let buf = Buffer.create (stop - off) in
+      let rec copy pos =
+        pos >= stop
+        ||
+        let b = pos / block_size in
+        let block_off = pos - (b * block_size) in
+        match Lru.find t.blocks (h, b) with
+        | Some data when block_off < Slice.length data ->
+            let take = min (Slice.length data - block_off) (stop - pos) in
+            Slice.add_to_buffer buf data ~off:block_off ~len:take;
+            copy (pos + take)
+        | Some _ | None -> false
+      in
+      if copy off then begin
         charge_hit t count;
-        Some (Buffer.contents buf, off + n >= size, e.attr)
+        Some (Buffer.contents buf, stop >= size, e.attr)
       end
       else None
 
@@ -389,7 +372,7 @@ let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : 
           (last - first + 1)
           (fun i ->
             let b = first + i in
-            if Hashtbl.mem t.blocks (h, b) then Some None
+            if Lru.mem t.blocks (h, b) then Some None
             else
               match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
               | Some thunk -> Some (Some (b, thunk))
@@ -404,13 +387,10 @@ let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : 
             (function
               | Some (Some (b, thunk)) -> (
                   match thunk () with
-                  | Ok (data, eof, a) ->
-                      note_attr t h a;
-                      if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof)
-                      then note_block t h b data;
+                  | Ok r ->
+                      note_fetched t h b r;
                       true
-                  | Error _ -> false
-                  | exception _ -> false)
+                  | Error _ | (exception _) -> false)
               | _ -> true)
             fg
         in
@@ -453,7 +433,6 @@ let ops (t : t) : Fs_intf.ops =
   let inner = t.inner in
   let getattr cred h =
     drain_invalidations t;
-    t.getattrs <- t.getattrs + 1;
     (* A fresh cached attribute already reflects the write-behind
        buffer (its size is updated as the buffer grows); only a miss
        with dirty data must flush first, or the server would answer
@@ -461,7 +440,6 @@ let ops (t : t) : Fs_intf.ops =
     if t.write_behind && fresh_attr t h = None then flush_for t h;
     match fresh_attr t h with
     | Some e ->
-        t.getattr_hits <- t.getattr_hits + 1;
         Obs.incr t.obs "cache.attr.hit";
         charge_hit t 64;
         Ok e.attr
@@ -486,10 +464,8 @@ let ops (t : t) : Fs_intf.ops =
     fs_lookup =
       (fun cred ~dir name ->
         drain_invalidations t;
-        t.lookups <- t.lookups + 1;
         match Hashtbl.find_opt t.negatives (dir, name) with
         | Some expiry when t.policy.use_leases && expiry > Simclock.now_us t.clock ->
-            t.lookup_hits <- t.lookup_hits + 1;
             Obs.incr t.obs "cache.neg.hit";
             charge_hit t 64;
             Error NFS3ERR_NOENT
@@ -500,12 +476,10 @@ let ops (t : t) : Fs_intf.ops =
                are also fresh — but only for users the cached directory
                attributes let traverse. *)
             match (fresh_attr t target, fresh_attr t dir) with
-            | Some e, Some d when not (may cred d.attr ~want:1) ->
-                ignore e;
+            | Some _, Some d when not (may cred d.attr ~want:1) ->
                 charge_hit t 64;
                 Error NFS3ERR_ACCES
             | Some e, _ ->
-                t.lookup_hits <- t.lookup_hits + 1;
                 Obs.incr t.obs "cache.name.hit";
                 charge_hit t 64;
                 Ok (target, e.attr)
@@ -513,16 +487,14 @@ let ops (t : t) : Fs_intf.ops =
                 Obs.incr t.obs "cache.name.miss";
                 let* h, a = inner.Fs_intf.fs_lookup cred ~dir name in
                 note_attr t h a;
-                Hashtbl.replace t.names (dir, name)
-                  (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
+                note_name t ~dir name h a;
                 Ok (h, a))
         | _ -> (
             Obs.incr t.obs "cache.name.miss";
             match inner.Fs_intf.fs_lookup cred ~dir name with
             | Ok (h, a) ->
                 note_attr t h a;
-                Hashtbl.replace t.names (dir, name)
-                  (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
+                note_name t ~dir name h a;
                 Ok (h, a)
             | Error NFS3ERR_NOENT when t.policy.use_leases ->
                 (* Negative caching under the directory's lease: the
@@ -564,7 +536,6 @@ let ops (t : t) : Fs_intf.ops =
       (fun cred h ~off ~count ->
         drain_invalidations t;
         if t.write_behind then flush_for t h;
-        t.reads <- t.reads + 1;
         (* Whole-block caching: a read is a hit when every covered block
            is cached and attributes are fresh. *)
         let first = off / block_size and last = if count = 0 then off / block_size else (off + count - 1) / block_size in
@@ -572,57 +543,42 @@ let ops (t : t) : Fs_intf.ops =
            so a prefetched block is an ordinary hit below. *)
         if t.pipeline <> None then claim_inflight t h first last;
         let run = if t.pipeline <> None then note_seq t h first last else 0 in
+        let fresh = fresh_attr t h in
         let cached =
-          fresh_attr t h <> None
+          fresh <> None
           &&
-          let rec all b = b > last || (Hashtbl.mem t.blocks (h, b) && all (b + 1)) in
+          let rec all b = b > last || (Lru.mem t.blocks (h, b) && all (b + 1)) in
           all first
         in
-        if cached && not (may cred (match fresh_attr t h with Some e -> e.attr | None -> assert false) ~want:4)
-        then Error NFS3ERR_ACCES
-        else if cached then begin
-          t.read_hits <- t.read_hits + 1;
-          Obs.incr t.obs "cache.read.hit";
-          charge_hit t count;
-          let e = match fresh_attr t h with Some e -> e | None -> assert false in
-          let size = e.attr.size in
-          let avail = max 0 (size - off) in
-          let n = min count avail in
-          let buf = Buffer.create n in
-          let pos = ref off in
-          while Buffer.length buf < n do
-            let b = !pos / block_size in
-            let data = Hashtbl.find t.blocks (h, b) in
-            let block_off = !pos - (b * block_size) in
-            let take = min (Slice.length data - block_off) (n - Buffer.length buf) in
-            Slice.add_to_buffer buf data ~off:block_off ~len:take;
-            pos := !pos + take
-          done;
-          (* Keep the window full behind a sequential consumer. *)
-          if run >= readahead_min_run then top_up t cred h ~next:(last + 1);
-          Ok (Buffer.contents buf, off + n >= size, e.attr)
-        end
-        else begin
-          Obs.incr t.obs "cache.read.miss";
-          match
-            if run >= readahead_min_run then fetch_pipelined t cred h ~off ~count ~first ~last
-            else None
-          with
-          | Some r -> Ok r
-          | None ->
-              let* data, eof, a = inner.Fs_intf.fs_read cred h ~off ~count in
-              note_attr t h a;
-              (* Cache only block-aligned full coverage to keep bookkeeping
-                 simple; partial tail blocks are cached on eof. *)
-              if off mod block_size = 0 then begin
-                List.iteri
-                  (fun i chunk ->
-                    if String.length chunk = block_size || eof then
-                      note_block t h ((off / block_size) + i) (Slice.of_string chunk))
-                  (Sfs_util.Bytesutil.chunks ~size:block_size data)
-              end;
-              Ok (data, eof, a)
-        end);
+        match fresh with
+        | Some e when cached && not (may cred e.attr ~want:4) -> Error NFS3ERR_ACCES
+        | _ -> (
+        match if cached then serve_cached t h ~off ~count else None with
+        | Some r ->
+            Obs.incr t.obs "cache.read.hit";
+            (* Keep the window full behind a sequential consumer. *)
+            if run >= readahead_min_run then top_up t cred h ~next:(last + 1);
+            Ok r
+        | None -> (
+            Obs.incr t.obs "cache.read.miss";
+            match
+              if run >= readahead_min_run then fetch_pipelined t cred h ~off ~count ~first ~last
+              else None
+            with
+            | Some r -> Ok r
+            | None ->
+                let* data, eof, a = inner.Fs_intf.fs_read cred h ~off ~count in
+                note_attr t h a;
+                (* Cache only block-aligned full coverage to keep bookkeeping
+                   simple; partial tail blocks are cached on eof. *)
+                if off mod block_size = 0 then begin
+                  List.iteri
+                    (fun i chunk ->
+                      if String.length chunk = block_size || eof then
+                        note_block t h ((off / block_size) + i) (Slice.of_string chunk))
+                    (Sfs_util.Bytesutil.chunks ~size:block_size data)
+                end;
+                Ok (data, eof, a))));
     fs_write =
       (fun cred h ~off ~stable data ->
         drain_invalidations t;
@@ -694,60 +650,35 @@ let ops (t : t) : Fs_intf.ops =
     fs_create =
       (fun cred ~dir name ~mode ->
         drain_invalidations t;
-        let* h, a = inner.Fs_intf.fs_create cred ~dir name ~mode in
-        (* Our own mutation: leases stay valid for us (the server only
-           calls back other holders); NFS-style caching conservatively
-           drops the directory entry. *)
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+        let r = inner.Fs_intf.fs_create cred ~dir name ~mode in
+        if Result.is_ok r then Hashtbl.remove t.negatives (dir, name);
+        note_created t ~dir name r);
     fs_mkdir =
-      (fun cred ~dir name ~mode ->
-        let* h, a = inner.Fs_intf.fs_mkdir cred ~dir name ~mode in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+      (fun cred ~dir name ~mode -> note_created t ~dir name (inner.Fs_intf.fs_mkdir cred ~dir name ~mode));
     fs_symlink =
       (fun cred ~dir name ~target ->
-        let* h, a = inner.Fs_intf.fs_symlink cred ~dir name ~target in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+        note_created t ~dir name (inner.Fs_intf.fs_symlink cred ~dir name ~target));
     fs_remove =
       (fun cred ~dir name ->
         if t.write_behind then flush_dirty t;
-        let* () = inner.Fs_intf.fs_remove cred ~dir name in
-        Hashtbl.remove t.names (dir, name);
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        Ok ());
+        note_removed t ~dir name (inner.Fs_intf.fs_remove cred ~dir name));
     fs_rmdir =
       (fun cred ~dir name ->
         if t.write_behind then flush_dirty t;
-        let* () = inner.Fs_intf.fs_rmdir cred ~dir name in
-        Hashtbl.remove t.names (dir, name);
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        Ok ());
+        note_removed t ~dir name (inner.Fs_intf.fs_rmdir cred ~dir name));
     fs_rename =
       (fun cred ~from_dir ~from_name ~to_dir ~to_name ->
         if t.write_behind then flush_dirty t;
         let* () = inner.Fs_intf.fs_rename cred ~from_dir ~from_name ~to_dir ~to_name in
         Hashtbl.remove t.names (from_dir, from_name);
         Hashtbl.remove t.names (to_dir, to_name);
-        if not t.policy.use_leases then begin
-          Hashtbl.remove t.attrs from_dir;
-          Hashtbl.remove t.attrs to_dir
-        end;
+        dir_changed t from_dir;
+        dir_changed t to_dir;
         Ok ());
     fs_link =
       (fun cred ~target ~dir name ->
         let* a = inner.Fs_intf.fs_link cred ~target ~dir name in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
+        dir_changed t dir;
         note_attr t target a;
         Ok a);
     fs_readdir =
@@ -758,8 +689,7 @@ let ops (t : t) : Fs_intf.ops =
         List.iter
           (fun de ->
             note_attr t de.d_fh de.d_attr;
-            Hashtbl.replace t.names (h, de.d_name)
-              (de.d_fh, Simclock.now_us t.clock +. (name_ttl_s t de.d_attr *. 1_000_000.0)))
+            note_name t ~dir:h de.d_name de.d_fh de.d_attr)
           entries;
         Ok entries);
     fs_commit =

@@ -15,19 +15,24 @@
    - synchronous metadata updates (create/remove/mkdir...) each cost a
      positioning delay plus a small transfer, FFS-style.
 
-   The cache is a fixed-capacity LRU of 8 KB blocks, default 25 MB —
+   The cache holds a fixed number of 8 KB blocks, default 25 MB —
    FreeBSD 3.x dedicated roughly a tenth of the testbed's 256 MB to the
    buffer cache, which is why the paper's 40 MB large-file test misses
-   cache on re-read. *)
+   cache on re-read.  Eviction follows insertion/write order: a miss or
+   a write makes its block the newest, a read hit does not refresh it,
+   and the oldest block goes first (written back if dirty).  Changing
+   that rule moves simulated figures and must be accounted for in
+   EXPERIMENTS.md. *)
 
 module Simclock = Sfs_net.Simclock
+module Lru = Sfs_util.Lru
 
 type params = {
   position_us : float; (* average seek + rotational delay *)
   bytes_per_us : float; (* media transfer rate *)
   memcpy_bytes_per_us : float; (* cache-hit copy rate *)
   metadata_sync_us : float; (* one synchronous metadata update *)
-  cache_blocks : int; (* LRU capacity in 8 KB blocks *)
+  cache_blocks : int; (* cache capacity in 8 KB blocks *)
 }
 
 let default_params =
@@ -46,47 +51,40 @@ type key = int * int (* fileid, block number *)
 type t = {
   clock : Simclock.t;
   params : params;
-  cache : (key, bool ref (* dirty *)) Hashtbl.t;
-  mutable lru : key list; (* most recent first; rebuilt lazily *)
+  cache : (key, bool ref (* dirty *)) Lru.t;
   mutable last_access : (int * int) option; (* fileid, block — sequential-run detection *)
   mutable reads : int;
   mutable hits : int;
 }
 
 let create ?(params = default_params) (clock : Simclock.t) : t =
-  { clock; params; cache = Hashtbl.create 4096; lru = []; last_access = None; reads = 0; hits = 0 }
+  if params.cache_blocks < 1 then invalid_arg "Diskmodel.create: cache_blocks must be >= 1";
+  { clock; params; cache = Lru.create 4096; last_access = None; reads = 0; hits = 0 }
 
 let charge (t : t) (us : float) = Simclock.advance t.clock us
 
 let transfer_us (t : t) (bytes : int) = float_of_int bytes /. t.params.bytes_per_us
 let memcpy_us (t : t) (bytes : int) = float_of_int bytes /. t.params.memcpy_bytes_per_us
 
-let touch_lru (t : t) (k : key) : unit =
-  (* Move-to-front list; adequate at simulation scale. *)
-  t.lru <- k :: List.filter (fun k' -> k' <> k) t.lru
+let rec evict_if_needed (t : t) : unit =
+  if Lru.length t.cache > t.params.cache_blocks then
+    match Lru.pop_oldest t.cache with
+    | Some (_, dirty) ->
+        (* Write-back on eviction. *)
+        if !dirty then charge t (t.params.position_us +. transfer_us t block_size);
+        evict_if_needed t
+    | None -> ()
 
-let evict_if_needed (t : t) : unit =
-  while Hashtbl.length t.cache > t.params.cache_blocks do
-    match List.rev t.lru with
-    | [] -> Hashtbl.reset t.cache
-    | victim :: _ ->
-        (match Hashtbl.find_opt t.cache victim with
-        | Some dirty when !dirty ->
-            (* Write-back on eviction. *)
-            charge t (t.params.position_us +. transfer_us t block_size)
-        | _ -> ());
-        Hashtbl.remove t.cache victim;
-        t.lru <- List.filter (fun k -> k <> victim) t.lru
-  done
-
+(* Misses and writes make the block the newest; read hits never call
+   this, so they leave the eviction order alone. *)
 let insert (t : t) (k : key) ~(dirty : bool) : unit =
-  (match Hashtbl.find_opt t.cache k with
-  | Some d -> d := !d || dirty
+  match Lru.find t.cache k with
+  | Some d ->
+      d := !d || dirty;
+      Lru.promote t.cache k
   | None ->
-      Hashtbl.replace t.cache k (ref dirty);
-      touch_lru t k;
-      evict_if_needed t);
-  touch_lru t k
+      Lru.replace t.cache k (ref dirty);
+      evict_if_needed t
 
 let sequential (t : t) ~(fileid : int) ~(block : int) : bool =
   match t.last_access with Some (f, b) -> f = fileid && (block = b + 1 || block = b) | None -> false
@@ -98,7 +96,7 @@ let read (t : t) ~(fileid : int) ~(off : int) ~(bytes : int) : unit =
     for block = first to last do
       t.reads <- t.reads + 1;
       let k = (fileid, block) in
-      if Hashtbl.mem t.cache k then begin
+      if Lru.mem t.cache k then begin
         t.hits <- t.hits + 1;
         charge t (memcpy_us t (min bytes block_size))
       end
@@ -139,13 +137,10 @@ let metadata_update (t : t) : unit = charge t t.params.metadata_sync_us
    Dirty blocks flush as sequential runs: one positioning delay per
    file plus media transfer. *)
 let flush (t : t) ?(fileid : int option) () : unit =
-  let dirty =
-    Hashtbl.fold
-      (fun (f, b) d acc -> if !d && (fileid = None || fileid = Some f) then ((f, b), d) :: acc else acc)
-      t.cache []
-  in
+  let wanted f = match fileid with None -> true | Some g -> g = f in
+  let dirty = Lru.fold (fun (f, _) d acc -> if !d && wanted f then (f, d) :: acc else acc) t.cache [] in
   if dirty <> [] then begin
-    let files = List.sort_uniq compare (List.map (fun ((f, _), _) -> f) dirty) in
+    let files = List.sort_uniq compare (List.map fst dirty) in
     charge t (float_of_int (List.length files) *. t.params.position_us);
     charge t (transfer_us t (List.length dirty * block_size));
     List.iter (fun (_, d) -> d := false) dirty
@@ -155,8 +150,7 @@ let flush (t : t) ?(fileid : int option) () : unit =
    phases). *)
 let invalidate (t : t) : unit =
   flush t ();
-  Hashtbl.reset t.cache;
-  t.lru <- [];
+  Lru.clear t.cache;
   t.last_access <- None
 
 let stats (t : t) : int * int = (t.reads, t.hits)

@@ -1,13 +1,18 @@
 (** Disk and buffer-cache timing model: an FFS-era SCSI disk behind a
-    fixed-capacity LRU block cache (see the implementation header for
-    the modeled behaviours and DESIGN.md for calibration). *)
+    fixed-capacity block cache (see the implementation header for the
+    modeled behaviours and DESIGN.md for calibration).
+
+    The cache evicts in insertion/write order, not true LRU: a read
+    miss or any write makes its block the newest, a read hit leaves
+    the order alone, and the oldest block is evicted first, written
+    back if dirty.  Simulated figures depend on this rule. *)
 
 type params = {
   position_us : float; (** average seek + rotational delay *)
   bytes_per_us : float; (** media transfer rate *)
   memcpy_bytes_per_us : float; (** cache-hit copy rate *)
   metadata_sync_us : float; (** one synchronous metadata update *)
-  cache_blocks : int; (** LRU capacity in 8 KB blocks *)
+  cache_blocks : int; (** cache capacity in 8 KB blocks *)
 }
 
 val default_params : params
@@ -16,6 +21,7 @@ val block_size : int
 type t
 
 val create : ?params:params -> Sfs_net.Simclock.t -> t
+(** @raise Invalid_argument when [params.cache_blocks < 1]. *)
 
 val read : t -> fileid:int -> off:int -> bytes:int -> unit
 (** Charge a read: memcpy on hits, positioning + transfer on misses,

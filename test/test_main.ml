@@ -19,4 +19,5 @@ let () =
       Test_obs.suite;
       Test_sketch.suite;
       Test_trace.suite;
+      Test_lru.suite;
     ]
