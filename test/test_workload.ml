@@ -283,6 +283,103 @@ let test_flashcrowd_20k () =
   let p99 = Sfs_obs.Sketch.quantile r.Flashcrowd.r_read_lat 0.99 in
   Testkit.check_bool "latency quantiles ordered" true (0 < p50 && p50 <= p99)
 
+(* Golden ledgers, recorded before Fleet and Flashcrowd were folded onto
+   one crowd engine.  Each entry is the SHA-1 (hex) of a run's ledger,
+   so every tally, latency sketch and obs counter is pinned byte for
+   byte: retry/failover order, backoff, re-accounting and Zipf draws
+   included.  Four soak-style fault plans cover the retry, failover,
+   give-up and fatal paths. *)
+let golden_ledgers () : (string * string) list =
+  let module Fault = Sfs_fault.Fault in
+  let hex_digest s = Sfs_util.Hex.encode (Sfs_crypto.Sha1.digest s) in
+  let fleet cfg = hex_digest (Fleet.ledger (Fleet.run cfg)) in
+  let crowd cfg = hex_digest (Flashcrowd.ledger (Flashcrowd.run cfg)) in
+  let crash host down_s up_s = { Fault.c_host = host; c_down_us = down_s *. 1e6; c_up_us = up_s *. 1e6 } in
+  let zipf =
+    {
+      Fleet.default with
+      Fleet.clients = 32;
+      servers = 1;
+      ops_per_client = 6;
+      workload = Fleet.Zipf { dirs = 4; files_per_dir = 8; file_bytes = 1024; theta = 1.0 };
+      arrival = Fleet.Ramp 20_000.0;
+    }
+  in
+  let republish =
+    { Flashcrowd.default with Flashcrowd.clients = 40; reads_per_client = 8; republish_at_us = Some 60_000.0 }
+  in
+  let failover =
+    { Flashcrowd.default with Flashcrowd.clients = 24; replicas = 2; admit_per_mirror = Some 4; ramp_us = 1_000.0 }
+  in
+  let rw_crash ?corrupt_pm () =
+    {
+      Fleet.default with
+      Fleet.clients = 16;
+      servers = 2;
+      user_pool = 8;
+      ops_per_client = 6;
+      admit_per_server = Some 8;
+      hot_write_every = 10;
+      seed = "soak";
+      fault =
+        Some
+          (Fault.make ~seed:"soak/crash-early" ?corrupt_pm
+             ~crashes:[ crash "srv0.fleet.lcs.mit.edu" 0.003 0.03 ]
+             ());
+    }
+  in
+  let ro_soak spec =
+    {
+      Flashcrowd.default with
+      Flashcrowd.clients = 16;
+      replicas = 3;
+      reads_per_client = 6;
+      admit_per_mirror = Some 8;
+      republish_at_us = Some 120_000.0;
+      seed = "soak-ro";
+      fault = Some spec;
+    }
+  in
+  let flap =
+    Fault.make ~seed:"soak/ro-mirror-flap"
+      ~crashes:
+        [
+          crash (Flashcrowd.mirror_loc 1) 0.01 0.02;
+          crash (Flashcrowd.mirror_loc 1) 0.03 0.04;
+          crash (Flashcrowd.mirror_loc 1) 0.05 0.06;
+        ]
+      ()
+  in
+  [
+    ("fleet default", fleet Fleet.default);
+    ("fleet zipf ramp", fleet zipf);
+    ("fleet crash window", fleet (rw_crash ()));
+    ("fleet crash and corruption", fleet (rw_crash ~corrupt_pm:400 ()));
+    ("flashcrowd republish", crowd republish);
+    ("flashcrowd admission failover", crowd failover);
+    ("flashcrowd mirror flap", crowd (ro_soak flap));
+    ("flashcrowd corruption", crowd (ro_soak (Fault.make ~seed:"soak/ro-corrupt-1pct" ~corrupt_pm:100 ())));
+  ]
+
+let test_golden_ledgers () =
+  let expected =
+    [
+      ("fleet default", "c9609fbbb4e78fcdad4836c95f3ef3d9777c55d6");
+      ("fleet zipf ramp", "f34d291683e8ed70c61c49c0db0903d73e8d8157");
+      ("fleet crash window", "cf27c938819cf64de22db5a3f3e746a4c38b0e0c");
+      ("fleet crash and corruption", "df04265299b101cc61df76b96a0898b1a453dd74");
+      ("flashcrowd republish", "6a9c5ab6fd5802744651732b644c770e429fd660");
+      ("flashcrowd admission failover", "71e682012157c3c14041e0874b4dcd1724d04e1e");
+      ("flashcrowd mirror flap", "4934b560a53d1ac8ef3255f59f742f1cef61472b");
+      ("flashcrowd corruption", "ae1a5b139f5cf78970b1e874579a18323bd40bfc");
+    ]
+  in
+  List.iter2
+    (fun (name, want) (name', got) ->
+      Testkit.check_string "ledger name" name name';
+      Testkit.check_string name want got)
+    expected (golden_ledgers ())
+
 let suite =
   ( "workload",
     [
@@ -304,4 +401,5 @@ let suite =
       Alcotest.test_case "flashcrowd admission failover" `Quick test_flashcrowd_admission_failover;
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;
+      Alcotest.test_case "golden ledgers" `Quick test_golden_ledgers;
     ] )
