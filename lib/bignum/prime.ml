@@ -103,12 +103,3 @@ let generate ?(congruence : (int * int) option) ~(rand_bits : int -> Nat.t) (bit
     else try_candidate ()
   in
   try_candidate ()
-
-(* Safe prime p = 2q + 1 with q prime, as SRP groups require. *)
-let generate_safe ~(rand_bits : int -> Nat.t) (bits : int) : Nat.t =
-  let rec go () =
-    let q = generate ~rand_bits (bits - 1) in
-    let p = Nat.add (Nat.shift_left q 1) Nat.one in
-    if is_probably_prime ~rounds:16 ~rand_bits p then p else go ()
-  in
-  go ()

@@ -12,7 +12,6 @@ val create : ?vnodes:int -> ?obs:Sfs_obs.Obs.registry -> Authserv.t array -> t
     is given, each routed validation bumps [authshard.<i>.validate].
     @raise Invalid_argument on an empty shard array. *)
 
-val n_shards : t -> int
 val shard : t -> int -> Authserv.t
 
 val shard_for_key : t -> Sfs_crypto.Rabin.pub -> int

@@ -116,7 +116,6 @@ let mirror_root (m : mirror) : Ro.fsinfo option = m.mi_fsinfo
 let mirror_objects (m : mirror) : int = Hashtbl.length m.mi_store
 let mirror_has (m : mirror) (h : string) : bool = Hashtbl.mem m.mi_store h
 let mirror_served (m : mirror) : int * int = (m.mi_served_objs, m.mi_served_bytes)
-let mirror_name (m : mirror) : string = m.mi_name
 
 (* --- Publisher --- *)
 
@@ -162,8 +161,6 @@ let pubkey (p : publisher) : Rabin.pub = p.p_key.Rabin.pub
 let current (p : publisher) : Readonly.snapshot option = p.p_snapshot
 let target ~(addr : string) : target =
   { t_addr = addr; t_conn = None; t_synced = Hashtbl.create 256; t_serial = 0 }
-let target_addr (t : target) : string = t.t_addr
-let target_synced (t : target) : int = Hashtbl.length t.t_synced
 
 (* Build the next snapshot incrementally off the previous one and sign
    it: SHA-1 is billed only for content that changed, the Rabin signing

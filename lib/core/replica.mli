@@ -49,8 +49,6 @@ val mirror_has : mirror -> string -> bool
 val mirror_served : mirror -> int * int
 (** [(objects, bytes)] served to clients so far. *)
 
-val mirror_name : mirror -> string
-
 (** {2 Publisher} *)
 
 type publisher = private {
@@ -87,10 +85,6 @@ val pubkey : publisher -> Rabin.pub
 val current : publisher -> Readonly.snapshot option
 
 val target : addr:string -> target
-val target_addr : target -> string
-
-val target_synced : target -> int
-(** Hashes this mirror has acknowledged storing. *)
 
 val disconnect : target -> unit
 (** Drop the push connection (the next fan-out redials). *)

@@ -13,6 +13,3 @@ val hash : cost:int -> salt:string -> string -> string
     encrypts a fixed magic value 64 times). *)
 
 val hash_size : int
-
-val salt_of_user : server:string -> user:string -> string
-(** Deterministic 16-byte per-user salt from public data. *)

@@ -6,7 +6,9 @@
    submitting at the same microsecond must be served in submission
    order for byte-identical replay).  All operations are O(log n);
    the array doubles geometrically and never shrinks below its
-   initial capacity. *)
+   initial capacity.  Slots past [len] all hold [filler], the first
+   entry ever pushed, so a popped payload never stays reachable through
+   the array (the queue can live as long as the simulation). *)
 
 type 'a entry = { at : float; seq : int; v : 'a }
 
@@ -14,9 +16,10 @@ type 'a t = {
   mutable arr : 'a entry array;
   mutable len : int;
   mutable next_seq : int;
+  mutable filler : 'a entry option;
 }
 
-let create () : 'a t = { arr = [||]; len = 0; next_seq = 0 }
+let create () : 'a t = { arr = [||]; len = 0; next_seq = 0; filler = None }
 
 let length (t : 'a t) : int = t.len
 let is_empty (t : 'a t) : bool = t.len = 0
@@ -29,7 +32,9 @@ let before (a : 'a entry) (b : 'a entry) : bool =
 let grow (t : 'a t) (seed : 'a entry) : unit =
   let cap = Array.length t.arr in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  let narr = Array.make ncap seed in
+  let filler = match t.filler with Some f -> f | None -> seed in
+  t.filler <- Some filler;
+  let narr = Array.make ncap filler in
   Array.blit t.arr 0 narr 0 t.len;
   t.arr <- narr
 
@@ -73,13 +78,9 @@ let pop (t : 'a t) : (float * 'a) option =
   else begin
     let top = t.arr.(0) in
     t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.arr.(0) <- t.arr.(t.len);
-      (* Release the popped slot so payloads don't leak past their
-         event (the heap can live as long as the simulation). *)
-      t.arr.(t.len) <- top;
-      sift_down t 0
-    end;
+    t.arr.(0) <- t.arr.(t.len);
+    (match t.filler with Some f -> t.arr.(t.len) <- f | None -> ());
+    if t.len > 0 then sift_down t 0;
     Some (top.at, top.v)
   end
 

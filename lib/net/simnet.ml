@@ -162,8 +162,6 @@ let listen (t : t) (h : host) ~(port : int) (service : service) : unit =
   ignore t;
   Hashtbl.replace h.services port service
 
-let unlisten (h : host) ~(port : int) : unit = Hashtbl.remove h.services port
-
 type conn = {
   net : t;
   proto : Costmodel.transport_proto;

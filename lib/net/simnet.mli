@@ -71,7 +71,6 @@ val add_alias : t -> host -> string -> unit
 val remove_host : t -> string -> unit
 val find_host : t -> string -> host option
 val listen : t -> host -> port:int -> service -> unit
-val unlisten : host -> port:int -> unit
 
 (** {2 Per-host run queue and admission}
 

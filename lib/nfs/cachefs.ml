@@ -223,9 +223,15 @@ let ( let* ) = Result.bind
    drops the directory's attributes. *)
 let dir_changed (t : t) (dir : fh) : unit = if not t.policy.use_leases then Hashtbl.remove t.attrs dir
 
+(* Every op that makes [name] appear in [dir] calls this: a cached
+   negative lookup for the name is now stale. *)
+let name_added (t : t) ~(dir : fh) (name : string) : unit =
+  Hashtbl.remove t.negatives (dir, name);
+  dir_changed t dir
+
 let note_created (t : t) ~(dir : fh) (name : string) (r : (fh * fattr) res) : (fh * fattr) res =
   let* h, a = r in
-  dir_changed t dir;
+  name_added t ~dir name;
   note_attr t h a;
   note_name t ~dir name h a;
   Ok (h, a)
@@ -650,9 +656,7 @@ let ops (t : t) : Fs_intf.ops =
     fs_create =
       (fun cred ~dir name ~mode ->
         drain_invalidations t;
-        let r = inner.Fs_intf.fs_create cred ~dir name ~mode in
-        if Result.is_ok r then Hashtbl.remove t.negatives (dir, name);
-        note_created t ~dir name r);
+        note_created t ~dir name (inner.Fs_intf.fs_create cred ~dir name ~mode));
     fs_mkdir =
       (fun cred ~dir name ~mode -> note_created t ~dir name (inner.Fs_intf.fs_mkdir cred ~dir name ~mode));
     fs_symlink =
@@ -673,12 +677,12 @@ let ops (t : t) : Fs_intf.ops =
         Hashtbl.remove t.names (from_dir, from_name);
         Hashtbl.remove t.names (to_dir, to_name);
         dir_changed t from_dir;
-        dir_changed t to_dir;
+        name_added t ~dir:to_dir to_name;
         Ok ());
     fs_link =
       (fun cred ~target ~dir name ->
         let* a = inner.Fs_intf.fs_link cred ~target ~dir name in
-        dir_changed t dir;
+        name_added t ~dir name;
         note_attr t target a;
         Ok a);
     fs_readdir =

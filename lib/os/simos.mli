@@ -18,8 +18,6 @@ val is_superuser : cred -> bool
 val is_anonymous : cred -> bool
 val in_group : cred -> int -> bool
 
-type process = { pid : int; pcred : cred; powner : string }
-
 type t
 
 val create : unit -> t
@@ -28,5 +26,3 @@ val add_user : ?uid:int -> ?groups:int list -> t -> string -> user
 (** @raise Invalid_argument on duplicate names. *)
 
 val find_user : t -> string -> user option
-val find_user_by_uid : t -> int -> user option
-val spawn : t -> user -> process

@@ -374,9 +374,6 @@ let stats (t : t) : stats =
 let crypto_cost_us (t : t) (bytes : int) : float =
   if t.encrypt then Costmodel.crypto_us t.costs bytes else 0.0
 
-let charge_us (t : t) (us : float) : unit =
-  match t.clock with Some clock -> Simclock.advance clock us | None -> ()
-
 (* Spend up to [budget_us] of (already-elapsed, otherwise-dead) time
    generating keystream ahead of need.  Charges nothing to the clock:
    the bytes are billed against the donated idle time, and the counter

@@ -66,9 +66,6 @@ val crypto_cost_us : t -> int -> float
 (** The time {!seal} would charge for a payload of that size; zero when
     encryption is off. *)
 
-val charge_us : t -> float -> unit
-(** Charge arbitrary microseconds to the channel's clock (used for the
-    partial billing of pipelined traffic). *)
 
 val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
 (** [precompute t ~budget_us] generates up to [budget_us] worth of ARC4

@@ -116,11 +116,6 @@ let invalidations_sent (t : t) : int = t.invalidations_sent
 let pending_count (t : t) : int =
   Hashtbl.fold (fun _ q acc -> acc + List.length !q) t.pending 0
 
-(* How many connections currently hold a (possibly expired) lease on
-   [fh] — fan-in visibility for the fleet tests. *)
-let holder_count (t : t) (fh : string) : int =
-  match Hashtbl.find_opt t.holders fh with None -> 0 | Some tbl -> Hashtbl.length tbl
-
 (* Server restart: lease state is volatile and does not survive.  Every
    holder and every queued callback is forgotten; clients discover this
    through their own reconnection (their cached attributes are flushed

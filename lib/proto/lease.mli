@@ -36,10 +36,6 @@ val pending_count : t -> int
     The fleet tests reconcile: [lease.invalidations] (queued) equals
     applied at clients + pending at clients + this. *)
 
-val holder_count : t -> string -> int
-(** How many connections currently hold a lease entry on this wire
-    handle (expired entries included until the next invalidation) —
-    fan-in visibility for the fleet tests. *)
 
 val reset : t -> unit
 (** Server crash/restart: forget every holder and queued callback

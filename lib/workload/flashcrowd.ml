@@ -1,31 +1,14 @@
-(* Flash-crowd simulation: the read-only dialect as a CDN tier.
+(* Flash-crowd simulation: the read-only dialect as a CDN tier, one
+   client kind of the Crowd engine (DESIGN.md §15).
 
    A publisher signs a snapshot of a two-level file tree and fans it
-   out to N untrusted mirrors (Replica); then a crowd of up to 10^4-10^5
+   out to N untrusted mirrors (Replica); a crowd of up to 10^5
    read-only clients arrives on an accelerating ramp, each fetching
-   Zipf-popular files and verifying every object against the hash chain
-   ending at the signed root.  The engine is the same discrete-event
-   model as Fleet (DESIGN.md §15): every client action is an event,
-   its measured cost is split into a client/wire slice and a serving
-   slice that queues on the mirror host's run queue.
-
-   Two deliberate asymmetries against the read-write arm:
-
-   - Per-client state is a slim record (an index, a Prng, a connection,
-     a verification cache) — no key negotiation, no encrypted channel,
-     no Cachefs, no agent.  This is what lets the crowd scale past the
-     read-write fleet's 10^4 toward 10^5.
-
-   - Mirrors burn no cryptography per request (a boundary crossing and
-     a buffer copy), so aggregate capacity scales with the replica
-     count; clients pay SHA-1 once per object and then hit their
-     verification cache.
-
-   Failover uses the same admission machinery as Fleet: a refused or
-   timed-out client backs off (capped linear) and re-dials the
-   least-loaded mirror.  Everything is deterministic — seeded Prngs,
-   the simulated clock — and two same-config runs must produce
-   byte-identical ledgers. *)
+   Zipf-popular files and verifying every object against the hash
+   chain ending at the signed root.  Mirrors burn no cryptography per
+   request, so aggregate capacity scales with the replica count;
+   clients pay SHA-1 once per object, then hit their verification
+   cache. *)
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
@@ -38,7 +21,6 @@ module Core = Sfs_core
 module Ro = Sfs_proto.Readonly_proto
 module Obs = Sfs_obs.Obs
 module Sketch = Sfs_obs.Sketch
-module Fault = Sfs_fault.Fault
 
 type config = {
   clients : int;
@@ -60,7 +42,7 @@ type config = {
   duration_s : int;
   max_spans : int;
   seed : string;
-  fault : Fault.spec option;
+  fault : Sfs_fault.Fault.spec option;
 }
 
 let default : config =
@@ -113,70 +95,49 @@ let publisher_loc : string = "publisher.ro.fleet"
 let mirror_loc (m : int) : string = Printf.sprintf "mirror%d.ro.fleet" m
 let client_loc (i : int) : string = Printf.sprintf "c%d.ro.client" i
 
-(* Slim per-client state: this record plus a bounded Vcache is the
-   whole footprint — compare Fleet's cl, which drags a full Core.Client
-   (keyed channel, Cachefs, agent, mux) per connection. *)
+(* Slim per-client state: this record plus a bounded Vcache (the
+   connected state, a Readonly.client) is the whole footprint — compare
+   Fleet's, which drags a full Core.Client (keyed channel, Cachefs,
+   agent, mux) per connection.  [pending] is the file mid-retry, or -1. *)
 type rcl = {
-  idx : int;
-  from : string; (* this client's host name *)
-  rng : Prng.t;
-  mutable conn : Simnet.conn option;
-  mutable mirror : int; (* index of the mirror currently dialed *)
-  mutable ro : Core.Readonly.client option; (* survives failover: content addressing *)
-  mutable reads_done : int;
-  mutable attempts : int; (* consecutive failed attempts at the current step *)
-  mutable pending : int; (* file index mid-retry, or -1 *)
+  from : string; rng : Prng.t; mutable conn : Simnet.conn option; mutable mirror : int; mutable pending : int;
 }
+
+let ( let* ) = Result.bind
+
+let dir_entries : Ro.obj -> (Ro.entry list, Crowd.cause) Stdlib.result = function
+  | Ro.O_dir entries -> Ok entries
+  | _ -> Error (Crowd.Unexpected "not a directory")
+
+let find_entry (entries : Ro.entry list) (name : string) : (string, Crowd.cause) Stdlib.result =
+  match List.find_opt (fun e -> e.Ro.e_name = name) entries with
+  | Some e -> Ok e.Ro.e_hash
+  | None -> Error (Crowd.Missing_entry name)
+
+let drop_conn (c : rcl) : unit =
+  Option.iter Simnet.close c.conn;
+  c.conn <- None
 
 let run (cfg : config) : result =
   if cfg.clients < 1 || cfg.replicas < 1 || cfg.dirs < 1 || cfg.files_per_dir < 1 then
     invalid_arg "Flashcrowd.run: counts must be positive";
-  let clock = Simclock.create () in
-  let obs = Obs.create ~max_spans:cfg.max_spans ~now_us:(fun () -> Simclock.now_us clock) () in
+  let e = Crowd.create ~max_spans:cfg.max_spans in
+  let clock = e.Crowd.clock and obs = e.Crowd.obs and net = e.Crowd.net in
   let costs = Costmodel.default in
-  let net = Simnet.create ~costs ~obs clock in
   let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
   let root_cred = Simos.cred_of_user Simos.root_user in
   (* --- the publisher: file tree, private key, snapshot --- *)
   ignore (Simnet.add_host net publisher_loc);
   let fs = Memfs.create ~fsid:7 ~now () in
-  let mkdir ~dir name =
-    match Memfs.mkdir fs root_cred ~dir name ~mode:0o777 with
-    | Ok (ino, _) -> ino
-    | Error _ -> assert false
-  in
-  let write_file ~dir name data =
-    let ino =
-      match Memfs.lookup fs root_cred ~dir name with
-      | Ok (ino, _) -> ino
-      | Error _ -> (
-          match Memfs.create_file fs root_cred ~dir name ~mode:0o666 with
-          | Ok (ino, _) -> ino
-          | Error _ -> assert false)
-    in
-    match Memfs.write fs root_cred ino ~off:0 data with Ok _ -> () | Error _ -> assert false
-  in
-  let dirs =
-    Array.init cfg.dirs (fun d ->
-        let dir = mkdir ~dir:Memfs.root_id ("d" ^ string_of_int d) in
-        for f = 0 to cfg.files_per_dir - 1 do
-          let file = (d * cfg.files_per_dir) + f in
-          write_file ~dir ("f" ^ string_of_int f)
-            (String.make cfg.file_bytes (Fleet.zipf_file_char file))
-        done;
-        dir)
-  in
+  let { dirs; files_per_dir; file_bytes; _ } = cfg in
+  let files = Crowd.seed_tree fs root_cred ~dir:Memfs.root_id ~dirs ~files_per_dir ~file_bytes in
   let key = Rabin.generate ~bits:cfg.key_bits (Prng.create [ cfg.seed; "rokey" ]) in
   let publisher =
-    Core.Replica.publisher ~obs ~costs ~duration_s:cfg.duration_s ~net ~host:publisher_loc ~key
-      ~clock fs
+    Core.Replica.publisher ~obs ~costs ~duration_s:cfg.duration_s ~net ~host:publisher_loc ~key ~clock fs
   in
   ignore (Core.Replica.publish publisher);
   (* --- the mirror tier --- *)
-  let mirrors =
-    Array.init cfg.replicas (fun m ->
-        Core.Replica.mirror ~obs ~costs ~clock ~name:(mirror_loc m) ())
-  in
+  let mirrors = Array.init cfg.replicas (fun m -> Core.Replica.mirror ~obs ~costs ~clock ~name:(mirror_loc m) ()) in
   let mhosts =
     Array.init cfg.replicas (fun m ->
         let h = Simnet.add_host net (mirror_loc m) in
@@ -189,69 +150,17 @@ let run (cfg : config) : result =
   let pubkey = Core.Replica.pubkey publisher in
   (* --- fault plan (chaos soak): mirrors keep their stores across
      crash epochs (the store models a disk), so no on_restart hook --- *)
-  (match cfg.fault with
-  | None -> ()
-  | Some spec ->
-      let inj = Fault.injector ~obs ~on_restart:[] ~now_us:(fun () -> Simclock.now_us clock) spec in
-      Simnet.set_injector net (Some inj));
-  (* --- engine state --- *)
-  let cdf = Fleet.zipf_cdf ~n:(cfg.dirs * cfg.files_per_dir) ~theta:cfg.theta in
-  let reads_ok = ref 0 and reads_failed = ref 0 in
-  let clients_ok = ref 0 and clients_failed = ref 0 in
-  let failovers = ref 0 and retries = ref 0 and bad_content = ref 0 in
-  let republishes = ref 0 in
-  let last_ready = ref 0.0 in
-  let read_lat = Sketch.create () and connect_lat = Sketch.create () in
-  let seen_ready us = if us > !last_ready then last_ready := us in
+  Crowd.arm_faults e ~on_restart:[] cfg.fault;
+  let cdf = Crowd.zipf_cdf ~n:(dirs * files_per_dir) ~theta:cfg.theta in
+  let bad_content = ref 0 and republishes = ref 0 in
   let cls =
     Array.init cfg.clients (fun i ->
-        ignore (Simnet.add_host net (client_loc i));
-        {
-          idx = i;
-          from = client_loc i;
-          rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
-          conn = None;
-          mirror = i mod cfg.replicas;
-          ro = None;
-          reads_done = 0;
-          attempts = 0;
-          pending = -1;
-        })
+        let from = client_loc i and rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ] in
+        ignore (Simnet.add_host net from);
+        { from; rng; conn = None; mirror = i mod cfg.replicas; pending = -1 })
   in
-  (* Same re-accounting as Fleet.exec_timed, but the serving host is
-     whatever mirror the client is currently dialed to. *)
-  let exec_timed (c : rcl) (action : unit -> ('a, string) Stdlib.result) :
-      ('a, string) Stdlib.result * float * float =
-    let mhost = mhosts.(c.mirror) in
-    let t0 = Simclock.now_us clock in
-    let s0 = Simnet.host_served_us mhost in
-    let r, d =
-      (* sfstaint: allow TNT004 — absorb re-raises the action's exception untouched after restoring the clock; no secret-derived value is interpolated *)
-      Simclock.absorb clock (fun () ->
-          try action () with
-          | Simnet.Timeout -> Error "timeout"
-          | Simnet.No_route _ -> Error "no route"
-          | Core.Readonly.Verification_failed e -> Error ("verify: " ^ e)
-          (* sfstaint: allow TNT004 — harness-fatal exceptions pass through verbatim; nothing secret-derived is attached *)
-          | Stack_overflow | Out_of_memory | Assert_failure _ as e -> raise e
-          | e -> Error ("exn: " ^ Printexc.to_string e))
-    in
-    let s = Simnet.host_served_us mhost -. s0 in
-    let s = if s < 0.0 then 0.0 else s in
-    let cpu = if d -. s < 0.0 then 0.0 else d -. s in
-    let ready =
-      if s > 0.0 then Simnet.host_occupy mhost ~at_us:(t0 +. cpu) ~dur_us:s else t0 +. d
-    in
-    seen_ready ready;
-    (r, t0, ready)
-  in
-  let drop_conn (c : rcl) : unit =
-    (match c.conn with Some conn -> (try Simnet.close conn with _ -> ()) | None -> ());
-    c.conn <- None
-  in
-  (* Least-loaded failover: re-dial the mirror with the fewest live
-     connections (lowest index on ties) — the admission counter doubles
-     as the load signal. *)
+  (* Least-loaded failover: the mirror with the fewest live connections
+     (lowest index on ties) — the admission counter is the load signal. *)
   let pick_mirror () : int =
     let best = ref 0 in
     for m = 1 to cfg.replicas - 1 do
@@ -260,11 +169,9 @@ let run (cfg : config) : result =
     done;
     !best
   in
-  let backoff (attempts : int) : float = Float.min 500_000.0 (20_000.0 *. float_of_int attempts) in
-  (* The exchange closure reads [c.conn] at call time, so the same
-     Readonly.client (and its verification cache) survives reconnects
-     and mirror switches: a content hash names the same bytes
-     everywhere. *)
+  (* Reads [c.conn] at call time, so one Readonly.client (and its
+     verification cache) survives re-dials and mirror switches: a
+     content hash names the same bytes everywhere. *)
   let exchange (c : rcl) (bytes : string) : string =
     match c.conn with
     | None -> raise Simnet.Timeout
@@ -273,145 +180,86 @@ let run (cfg : config) : result =
         (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
         Simnet.call conn bytes
   in
-  (* One flash-crowd read: walk root dir -> subdir -> file through the
-     verification cache and check every byte against the published
-     generations.  A wrong byte here would mean unverified data reached
-     the application — counted, and asserted zero by [reconcile]. *)
-  let do_read (c : rcl) () : (unit, string) Stdlib.result =
-    let ro = match c.ro with Some ro -> ro | None -> assert false in
-    let file = if c.pending >= 0 then c.pending else Fleet.zipf_sample cdf c.rng in
-    c.pending <- file;
-    let d = file / cfg.files_per_dir and f = file mod cfg.files_per_dir in
-    let info = Core.Readonly.current_fsinfo ro in
-    let find_entry entries name =
-      match List.find_opt (fun e -> e.Ro.e_name = name) entries with
-      | Some e -> Ok e.Ro.e_hash
-      | None -> Error ("no entry " ^ name)
-    in
-    let ( let* ) = Result.bind in
-    let* root =
-      match Core.Readonly.fetch ro info.Ro.root_hash with
-      | Ro.O_dir entries -> Ok entries
-      | _ -> Error "root is not a directory"
-    in
-    let* dh = find_entry root ("d" ^ string_of_int d) in
-    let* dir =
-      match Core.Readonly.fetch ro dh with
-      | Ro.O_dir entries -> Ok entries
-      | _ -> Error "dir object is not a directory"
-    in
-    let* fh = find_entry dir ("f" ^ string_of_int f) in
-    let* data =
-      match Core.Readonly.fetch ro fh with
-      | Ro.O_file data -> Ok data
-      | _ -> Error "file object is not a file"
-    in
-    (* Either generation of the file is fine (a republish rewrites the
-       hottest file per directory with 'Z'); anything else is bytes the
-       hash chain never vouched for. *)
-    let fresh = String.make cfg.file_bytes 'Z' in
-    let stale = String.make cfg.file_bytes (Fleet.zipf_file_char file) in
-    if String.equal data stale || String.equal data fresh then Ok ()
-    else begin
-      incr bad_content;
-      Error "bad content"
-    end
-  in
-  let do_connect (c : rcl) () : (unit, string) Stdlib.result =
+  (* Dial the current mirror; the first connect also fetches and
+     verifies the signed root, a re-dial keeps the verified client. *)
+  let connect (c : rcl) (prev : Core.Readonly.client option) =
     let conn =
       (* sfstaint: allow TNT003 TNT004 — Simnet.connect interpolates only host names and ports into its errors and span labels; the client's Zipf Prng stays out of both *)
       Simnet.connect net ~from_host:c.from ~addr:(mirror_loc c.mirror) ~port:Core.Replica.ro_port
         ~proto:Costmodel.Tcp
     in
     c.conn <- Some conn;
-    match c.ro with
-    | Some _ -> Ok () (* reconnect: root already verified *)
+    match prev with
+    | Some ro -> Ok ro
     | None ->
-        c.ro <-
-          Some
-            (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
-            (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~costs
-               ~exchange:(exchange c) ~pubkey ~clock ());
-        Ok ()
+        Ok
+          (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
+          (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~costs ~exchange:(exchange c)
+             ~pubkey ~clock ())
   in
-  let give_up (c : rcl) : unit =
-    incr clients_failed;
-    reads_failed := !reads_failed + (cfg.reads_per_client - c.reads_done);
-    drop_conn c
-  in
-  let retryable (e : string) : bool =
-    String.length e >= 2 && (String.sub e 0 2 = "ti" || String.sub e 0 2 = "no")
-  in
-  let verify_failure (e : string) : bool = String.length e >= 6 && String.sub e 0 6 = "verify" in
-  let rec ev_read (c : rcl) () =
-    if c.reads_done >= cfg.reads_per_client then begin
-      incr clients_ok;
-      drop_conn c
-    end
-    else begin
-      let r, t0, ready = exec_timed c (do_read c) in
-      match r with
-      | Ok () ->
-          c.reads_done <- c.reads_done + 1;
+  (* One flash-crowd read: walk root dir -> subdir -> file through the
+     verification cache and check every byte against the published
+     generations.  A wrong byte here would mean unverified data reached
+     the application — counted, and asserted zero by [reconcile]. *)
+  let read (c : rcl) (ro : Core.Readonly.client) (_ : int) =
+    let file = if c.pending >= 0 then c.pending else Crowd.zipf_sample cdf c.rng in
+    c.pending <- file;
+    let d = file / files_per_dir and f = file mod files_per_dir in
+    let info = Core.Readonly.current_fsinfo ro in
+    let* root = dir_entries (Core.Readonly.fetch ro info.Ro.root_hash) in
+    let* dh = find_entry root ("d" ^ string_of_int d) in
+    let* dir = dir_entries (Core.Readonly.fetch ro dh) in
+    let* fh = find_entry dir ("f" ^ string_of_int f) in
+    match Core.Readonly.fetch ro fh with
+    | Ro.O_file data ->
+        (* Either generation of the file is fine (a republish rewrites
+           the hottest file per directory with 'Z'); anything else is
+           bytes the hash chain never vouched for. *)
+        let stale = String.make file_bytes (Crowd.file_char file) in
+        if String.equal data stale || String.equal data (String.make file_bytes 'Z') then begin
           c.pending <- -1;
-          c.attempts <- 0;
-          incr reads_ok;
           Obs.incr (Some obs) "ro.reads";
-          Sketch.observe read_lat (int_of_float (ready -. t0));
-          Simclock.schedule clock ~at_us:ready (ev_read c)
-      | Error e when c.attempts < cfg.attempt_limit && retryable e ->
-          (* the mirror died or refused: back off and re-dial the
-             least-loaded one, keeping the half-done read pending *)
-          c.attempts <- c.attempts + 1;
-          incr failovers;
-          Obs.incr (Some obs) "ro.client.failover";
-          drop_conn c;
-          c.mirror <- pick_mirror ();
-          Simclock.schedule clock ~at_us:(ready +. backoff c.attempts) (ev_connect c)
-      | Error e when c.attempts < cfg.attempt_limit && verify_failure e ->
-          (* corrupt or missing object: refresh the root (a republish
-             may have evicted what the old root referenced) and retry;
-             nothing wrong ever got cached *)
-          c.attempts <- c.attempts + 1;
-          incr retries;
-          Obs.incr (Some obs) "ro.client.retry";
-          let refresh () =
-            match c.ro with
-            (* sfstaint: allow TNT004 — refresh raises Verification_failed with protocol text only; the client's Zipf Prng is not part of the exception *)
-            | Some ro -> Result.ok (Core.Readonly.refresh ro)
-            | None -> Error "no client"
-          in
-          let rr, _, rready = exec_timed c refresh in
-          ignore rr;
-          Simclock.schedule clock ~at_us:(rready +. backoff c.attempts) (ev_read c)
-      | Error _ -> give_up c
-    end
-  and ev_connect (c : rcl) () =
-    let r, t0, ready = exec_timed c (do_connect c) in
-    match r with
-    | Ok () ->
-        c.attempts <- 0;
-        Sketch.observe connect_lat (int_of_float (ready -. t0));
-        Simclock.schedule clock ~at_us:ready (ev_read c)
-    | Error e when c.attempts < cfg.attempt_limit && (retryable e || verify_failure e) ->
-        c.attempts <- c.attempts + 1;
-        incr failovers;
-        Obs.incr (Some obs) "ro.client.failover";
-        drop_conn c;
-        c.mirror <- pick_mirror ();
-        Simclock.schedule clock ~at_us:(ready +. backoff c.attempts) (ev_connect c)
-    | Error _ -> give_up c
+          Ok ()
+        end
+        else (incr bad_content; Error (Crowd.Unexpected "bad content"))
+    | _ -> Error (Crowd.Unexpected "not a file")
   in
-  (* Mid-crowd republish: rewrite the hottest file of every directory,
-     snapshot incrementally, fan the delta out.  The fan-out's serving
-     slices land on each mirror's run queue, competing with the crowd. *)
-  let ev_republish () =
+  let refresh ro =
+    Obs.incr (Some obs) "ro.client.retry";
+    (* sfstaint: allow TNT004 — refresh raises Verification_failed with protocol text only; the client's Zipf Prng is not part of the exception *)
+    Core.Readonly.refresh ro
+  in
+  let fail_over c =
+    Obs.incr (Some obs) "ro.client.failover";
+    drop_conn c;
+    c.mirror <- pick_mirror ()
+  in
+  (* Reads fail over on transport failures and refresh the root on
+     verification failures (a republish may have evicted what the old
+     root referenced; nothing wrong ever got cached). *)
+  let on_op_failure = function
+    | Crowd.Transport -> Crowd.Reconnect
+    | Crowd.Verification -> Crowd.Repair refresh
+    | Crowd.Fatal -> Crowd.Give_up
+  in
+  let kind =
+    { Crowd.host = (fun c -> mhosts.(c.mirror)); connect; op = read; finish = (fun c _ -> drop_conn c);
+      abandon = drop_conn; retry_connect = (fun f -> f <> Crowd.Fatal); on_op_failure;
+      on_reconnect = fail_over; max_retries = cfg.attempt_limit }
+  in
+  (* Mid-crowd republish: rewrite each directory's hottest file, publish
+     incrementally, fan the delta out.  Its own charge: the serving
+     slices land on every mirror's run queue at t0, competing with the crowd. *)
+  let republish () =
     let t0 = Simclock.now_us clock in
     let s0 = Array.map Simnet.host_served_us mhosts in
     let (), d =
       (* sfstaint: allow TNT004 — absorb re-raises the action's exception untouched after restoring the clock; the signing key never appears in a message *)
       Simclock.absorb clock (fun () ->
-          Array.iter (fun dir -> write_file ~dir "f0" (String.make cfg.file_bytes 'Z')) dirs;
+          for dir = 0 to dirs - 1 do
+            let hottest = files.(dir * files_per_dir) in
+            ignore (Crowd.setup (Memfs.write fs root_cred hottest ~off:0 (String.make file_bytes 'Z')))
+          done;
           ignore (Core.Replica.publish publisher);
           fanout_failures := !fanout_failures + Core.Replica.fan_out publisher targets;
           incr republishes)
@@ -421,48 +269,36 @@ let run (cfg : config) : result =
         let s = Simnet.host_served_us h -. s0.(m) in
         if s > 0.0 then ignore (Simnet.host_occupy h ~at_us:t0 ~dur_us:s))
       mhosts;
-    seen_ready (t0 +. d)
+    Crowd.note_ready e (t0 +. d)
   in
-  (* Accelerating arrivals: the whole crowd is in by ramp_us. *)
-  Array.iter
-    (fun c ->
-      let at =
-        cfg.ramp_us *. sqrt (float_of_int (c.idx + 1) /. float_of_int cfg.clients)
-      in
-      Simclock.schedule clock ~at_us:at (ev_connect c))
-    cls;
-  (match cfg.republish_at_us with
-  | Some at -> Simclock.schedule clock ~at_us:at ev_republish
-  | None -> ());
-  let events = Simclock.run_all clock in
-  Simnet.set_injector net None;
+  Crowd.run
+    ?event:(Option.map (fun at -> (at, republish)) cfg.republish_at_us)
+    e kind (Crowd.Ramp cfg.ramp_us) ~ops:cfg.reads_per_client cls;
   List.iter Core.Replica.disconnect targets;
   {
     r_cfg = cfg;
-    r_reads_ok = !reads_ok;
-    r_reads_failed = !reads_failed;
-    r_clients_ok = !clients_ok;
-    r_clients_failed = !clients_failed;
-    r_failovers = !failovers;
-    r_retries = !retries;
+    r_reads_ok = e.Crowd.ops_ok;
+    r_reads_failed = e.Crowd.ops_abandoned;
+    r_clients_ok = e.Crowd.finished;
+    r_clients_failed = e.Crowd.gave_up;
+    r_failovers = e.Crowd.reconnects;
+    r_retries = e.Crowd.repairs;
     r_bad_content = !bad_content;
     r_republishes = !republishes;
     r_fanout_failures = !fanout_failures;
-    r_last_ready_us = !last_ready;
-    r_read_lat = read_lat;
-    r_connect_lat = connect_lat;
-    r_events = events;
+    r_last_ready_us = e.Crowd.last_ready_us;
+    r_read_lat = e.Crowd.op_lat;
+    r_connect_lat = e.Crowd.connect_lat;
+    r_events = e.Crowd.events;
     r_mirrors = mirrors;
     r_mhosts = mhosts;
     r_publisher = publisher;
     r_obs = obs;
   }
 
-(* Counter balance: exact equalities on fault-free runs.  The one that
-   matters most is [no_unverified_bytes]: every byte an application saw
-   either came out of the verification cache or passed SHA-1 against
-   the hash that named it this run — and matched a published
-   generation. *)
+(* Counter balance, exact on fault-free runs: every byte an application
+   saw came out of the verification cache or passed SHA-1 against the
+   hash that named it, and matched a published generation. *)
 let reconcile (r : result) : (string * bool) list =
   let snap = Obs.snapshot r.r_obs in
   let ctr name = Obs.snap_counter snap name in
@@ -473,10 +309,12 @@ let reconcile (r : result) : (string * bool) list =
         (o + mo, b + mb))
       (0, 0) r.r_mirrors
   in
-  let snap_objs =
-    match Core.Replica.current r.r_publisher with
-    | Some s -> Core.Readonly.object_count s
-    | None -> -1
+  let synced m =
+    match (Core.Replica.current r.r_publisher, Core.Replica.mirror_root m) with
+    | Some s, Some i ->
+        Core.Replica.mirror_objects m = Core.Readonly.object_count s
+        && i.Ro.serial = (Core.Readonly.fsinfo s).Ro.serial
+    | _ -> false
   in
   [
     ("all_arrived", r.r_clients_ok + r.r_clients_failed = r.r_cfg.clients);
@@ -488,40 +326,20 @@ let reconcile (r : result) : (string * bool) list =
     ("serve_bytes_balance", served_bytes = ctr "ro.verify.bytes");
     (* every application read was a cache hit or a fresh verification *)
     ("verify_balance", ctr "ro.verify.hit" + ctr "ro.verify.ok" >= 3 * r.r_reads_ok);
-    ( "mirrors_synced",
-      Array.for_all
-        (fun m ->
-          Core.Replica.mirror_objects m = snap_objs
-          &&
-          match Core.Replica.mirror_root m with
-          | Some i -> i.Ro.serial = (Core.Readonly.fsinfo (Option.get (Core.Replica.current r.r_publisher))).Ro.serial
-          | None -> false)
-        r.r_mirrors );
+    ("mirrors_synced", Array.for_all synced r.r_mirrors);
     ("all_conns_closed", Array.for_all (fun h -> Simnet.host_active_conns h = 0) r.r_mhosts);
     ("fanout_clean", r.r_fanout_failures = 0);
   ]
 
-(* The determinism artifact, mirroring Fleet.ledger: config, tallies,
-   sketches, then every counter sorted — two same-config runs must be
-   byte-identical. *)
 let ledger (r : result) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "flashcrowd clients=%d replicas=%d files=%d file_bytes=%d reads=%d\n"
-       r.r_cfg.clients r.r_cfg.replicas
-       (r.r_cfg.dirs * r.r_cfg.files_per_dir)
-       r.r_cfg.file_bytes r.r_cfg.reads_per_client);
-  Buffer.add_string b
-    (Printf.sprintf
-       "tally reads_ok=%d reads_failed=%d clients_ok=%d clients_failed=%d failovers=%d \
-        retries=%d republishes=%d\n"
-       r.r_reads_ok r.r_reads_failed r.r_clients_ok r.r_clients_failed r.r_failovers r.r_retries
-       r.r_republishes);
-  Buffer.add_string b (Printf.sprintf "last_ready_us %.3f\n" r.r_last_ready_us);
-  Buffer.add_string b ("sketch read_lat " ^ Sketch.to_json r.r_read_lat ^ "\n");
-  Buffer.add_string b ("sketch connect_lat " ^ Sketch.to_json r.r_connect_lat ^ "\n");
-  let snap = Obs.snapshot r.r_obs in
-  List.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "counter %s %d\n" name v))
-    snap.Obs.snap_counters;
-  Buffer.contents b
+  Crowd.ledger
+    [
+      Printf.sprintf "flashcrowd clients=%d replicas=%d files=%d file_bytes=%d reads=%d" r.r_cfg.clients
+        r.r_cfg.replicas (r.r_cfg.dirs * r.r_cfg.files_per_dir) r.r_cfg.file_bytes r.r_cfg.reads_per_client;
+      Printf.sprintf "tally reads_ok=%d reads_failed=%d clients_ok=%d clients_failed=%d failovers=%d \
+                      retries=%d republishes=%d"
+        r.r_reads_ok r.r_reads_failed r.r_clients_ok r.r_clients_failed r.r_failovers r.r_retries r.r_republishes;
+    ]
+    ~last_ready_us:r.r_last_ready_us
+    [ ("read_lat", r.r_read_lat); ("connect_lat", r.r_connect_lat) ]
+    r.r_obs

@@ -6,8 +6,9 @@
     verification caches with least-loaded failover across mirrors.
     Per-client state is deliberately slim — no key negotiation, no
     encrypted channel, no Cachefs — which is what lets the crowd scale
-    past the read-write fleet's 10^4 clients toward 10^5.  Same
-    discrete-event engine and determinism contract as {!Fleet}. *)
+    past the read-write fleet's 10^4 clients toward 10^5.  A client
+    kind of the {!Crowd} engine: reads fail over on transport failures
+    and refresh the root on verification failures. *)
 
 module Simnet = Sfs_net.Simnet
 module Sketch = Sfs_obs.Sketch

@@ -1,32 +1,25 @@
-(** Fleet-scale simulation: thousands of concurrent clients against a
-    farm of sfssd servers fronted by a sharded authserv ring
-    ({!Sfs_core.Authshard}), driven by the discrete-event engine in
-    {!Sfs_net.Simclock} — DESIGN.md §15.
+(** Fleet-scale simulation: thousands of concurrent read-write clients
+    against a farm of sfssd servers fronted by a sharded authserv ring
+    ({!Sfs_core.Authshard}), run as one client kind of the {!Crowd}
+    engine — DESIGN.md §15.
 
-    Every client action (mount, micro-op, unmount) is an event; its
-    measured cost is split into a client/wire part and a serving-host
-    part, and the latter queues on the host's run queue
-    ({!Sfs_net.Simnet.host_occupy}), so overlapped load serializes on
-    the server while client machines stay independent.  With one client
-    the model degenerates exactly to the serial stacks. *)
+    Each client mounts (key negotiation, agent authentication, handle
+    lookups), runs its micro-ops and unmounts.  Only transport failures
+    at mount are re-dialled; ops never retry. *)
 
 module Simnet = Sfs_net.Simnet
 module Sketch = Sfs_obs.Sketch
 module Core = Sfs_core
-module Prng = Sfs_crypto.Prng
 
-(** What each client does after mounting: the original hot-file lease
-    fan-in mix, or the flash-crowd Zipf read mix over a two-level
-    [dirs] x [files_per_dir] tree — the same layout {!Flashcrowd}
-    serves from read-only mirrors, so the read-write arm of the CDN
-    figure is apples-to-apples. *)
+(** What each client does after mounting: the hot-file lease fan-in
+    mix, or Zipf reads over the [dirs] x [files_per_dir] tree that
+    {!Flashcrowd} serves from read-only mirrors (the CDN figure's rw arm). *)
 type workload =
   | Hotfile
   | Zipf of { dirs : int; files_per_dir : int; file_bytes : int; theta : float }
 
-(** Arrival spacing: fixed [Stagger], or a flash-crowd [Ramp] where
-    client [i] arrives at [ramp_us * sqrt((i+1)/n)] — the arrival rate
-    grows linearly until the whole crowd is in. *)
+(** Arrival spacing: fixed [Stagger] ([stagger_us]), or a flash-crowd
+    [Ramp] whose rate grows linearly until the whole crowd is in. *)
 type arrival = Stagger | Ramp of float
 
 type config = {
@@ -90,14 +83,5 @@ val ledger : result -> string
 (** Counters, sketches and tallies, one sorted line each — the
     byte-identity artifact for the determinism gates. *)
 
-(** {2 Zipf sampling (shared with {!Flashcrowd})} *)
-
-val zipf_cdf : n:int -> theta:float -> float array
-(** CDF over [n] items, hottest first. *)
-
-val zipf_sample : float array -> Prng.t -> int
-(** Uniform draw + binary search; deterministic per seeded Prng. *)
-
-val zipf_file_char : int -> char
-(** Deterministic file contents for the Zipf tree, by flat index —
-    readers can check every byte they were served. *)
+val server_loc : int -> string
+(** Server host names, for soak fault plans targeting the farm. *)

@@ -77,8 +77,6 @@ let arm_faults (w : world) (spec : Fault.spec) : unit =
   in
   Simnet.set_injector w.net (Some inj)
 
-let disarm_faults (w : world) : unit = Simnet.set_injector w.net None
-
 (* A fixed small key size keeps world construction fast; the crypto
    micro-benchmarks measure the full-size primitives separately.
 
@@ -110,7 +108,7 @@ let make ?fault ?(key_bits = 512) ?(server_disk_params = Diskmodel.default_param
   let root_cred = Simos.cred_of_user Simos.root_user in
   (match Memfs.mkdir server_fs root_cred ~dir:Memfs.root_id "bench" ~mode:0o777 with
   | Ok _ -> ()
-  | Error _ -> assert false);
+  | Error st -> Nfs_types.fail st);
   (* The client machine's own local root file system. *)
   let client_fs = Memfs.create ~fsid:1 ~now () in
   let client_disk = Diskmodel.create ~params:server_disk_params clock in

@@ -212,6 +212,25 @@ let test_eventq_nan () =
   Alcotest.check_raises "nan rejected" (Invalid_argument "Eventq.push: NaN timestamp") (fun () ->
       Eventq.push q ~at:Float.nan ())
 
+let test_eventq_pop_releases () =
+  (* Regression: a popped payload must not stay reachable through the
+     queue's array — crowd events capture whole client states. *)
+  let q = Eventq.create () in
+  let released = ref 0 in
+  for i = 1 to 8 do
+    let payload = ref (float_of_int i) in
+    Gc.finalise (fun _ -> incr released) payload;
+    Eventq.push q ~at:(float_of_int i) payload
+  done;
+  for _ = 1 to 8 do
+    ignore (Eventq.pop q)
+  done;
+  Gc.full_major ();
+  (* Only the first entry pushed stays behind, as the array's filler;
+     the queue itself is still live here. *)
+  Testkit.check_bool "popped payloads collected" true (!released >= 7);
+  Testkit.check_bool "queue drained" true (Eventq.is_empty q)
+
 let test_clock_events () =
   let clock = Simclock.create () in
   let order = ref [] in
@@ -369,6 +388,7 @@ let suite =
       Alcotest.test_case "clock events" `Quick test_clock_events;
       Alcotest.test_case "clock event budget" `Quick test_clock_event_budget;
       Alcotest.test_case "eventq nan" `Quick test_eventq_nan;
+      Alcotest.test_case "eventq pop releases payloads" `Quick test_eventq_pop_releases;
       Alcotest.test_case "admission" `Quick test_admission;
       Alcotest.test_case "host occupy" `Quick test_host_occupy;
       Alcotest.test_case "served accounting" `Quick test_served_accounting;

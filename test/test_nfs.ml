@@ -329,6 +329,33 @@ let test_cachefs_negative_lookup () =
   expect_err "miss again" NFS3ERR_NOENT (cops2.Fs_intf.fs_lookup root ~dir:cops2.Fs_intf.fs_root "phantom");
   Testkit.check_bool "nfs policy refetches negatives" true (Nfs_server.calls server > calls2)
 
+let test_cachefs_new_names_clear_negatives () =
+  (* Regression: under leases a cached negative lookup must not outlive
+     the name's creation by mkdir, symlink, rename or link — not just
+     by create. *)
+  let clock = Simclock.create () in
+  let fs = Memfs.create ~now:(now_fn clock) () in
+  let backing = Memfs_ops.make ~fs ~disk:(Diskmodel.create clock) in
+  let cops = Cachefs.ops (Cachefs.create ~clock ~policy:Cachefs.sfs_policy backing) in
+  let dir = cops.Fs_intf.fs_root in
+  let src, _ = ok "create src" (cops.Fs_intf.fs_create root ~dir "src" ~mode:0o644) in
+  ignore (ok "create old" (cops.Fs_intf.fs_create root ~dir "old" ~mode:0o644));
+  let makers =
+    [
+      ("mkdir", fun n -> Result.map ignore (cops.Fs_intf.fs_mkdir root ~dir n ~mode:0o755));
+      ("symlink", fun n -> Result.map ignore (cops.Fs_intf.fs_symlink root ~dir n ~target:"src"));
+      ("rename", fun n -> cops.Fs_intf.fs_rename root ~from_dir:dir ~from_name:"old" ~to_dir:dir ~to_name:n);
+      ("link", fun n -> Result.map ignore (cops.Fs_intf.fs_link root ~target:src ~dir n));
+    ]
+  in
+  List.iter
+    (fun (op, make) ->
+      let name = op ^ "-target" in
+      expect_err (op ^ ": name absent") NFS3ERR_NOENT (cops.Fs_intf.fs_lookup root ~dir name);
+      ok (op ^ ": made") (make name);
+      ignore (ok (op ^ ": lookup sees the new name") (cops.Fs_intf.fs_lookup root ~dir name)))
+    makers
+
 let cache_read_equivalence =
   (* Property: reads through the cache agree with direct reads for
      arbitrary offsets and sizes, across interleaved writes. *)
@@ -385,5 +412,6 @@ let suite =
       Alcotest.test_case "cachefs lease invalidation" `Quick test_cachefs_lease_invalidation;
       Alcotest.test_case "cachefs hit permissions" `Quick test_cachefs_hit_permissions;
       Alcotest.test_case "cachefs negative lookups" `Quick test_cachefs_negative_lookup;
+      Alcotest.test_case "cachefs new names clear negatives" `Quick test_cachefs_new_names_clear_negatives;
     ]
     @ Testkit.to_alcotest [ cache_read_equivalence ] )

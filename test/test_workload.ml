@@ -324,7 +324,7 @@ let golden_ledgers () : (string * string) list =
       fault =
         Some
           (Fault.make ~seed:"soak/crash-early" ?corrupt_pm
-             ~crashes:[ crash "srv0.fleet.lcs.mit.edu" 0.003 0.03 ]
+             ~crashes:[ crash (Fleet.server_loc 0) 0.003 0.03 ]
              ());
     }
   in
@@ -380,6 +380,25 @@ let test_golden_ledgers () =
       Testkit.check_string name want got)
     expected (golden_ledgers ())
 
+let test_crowd_classify () =
+  (* Retry policies see typed classes, not error-string prefixes: a
+     missing entry is fatal even though its name starts with "no", and
+     a torn key negotiation is never retried. *)
+  let cases =
+    [
+      ("timeout", Crowd.Raised Sfs_net.Simnet.Timeout, Crowd.Transport);
+      ("no route", Crowd.Raised (Sfs_net.Simnet.No_route "srv0"), Crowd.Transport);
+      ("host unreachable", Crowd.Mount (Sfs_core.Client.Host_unreachable "srv0"), Crowd.Transport);
+      ("verification", Crowd.Raised (Sfs_core.Readonly.Verification_failed "hash"), Crowd.Verification);
+      ("negotiation at mount", Crowd.Mount (Sfs_core.Client.Negotiation_failed "torn"), Crowd.Fatal);
+      ("negotiation raised", Crowd.Raised (Sfs_proto.Keyneg.Negotiation_failed "torn"), Crowd.Fatal);
+      ("rpc failure", Crowd.Raised (Sfs_nfs.Nfs_client.Rpc_failure "gave up"), Crowd.Fatal);
+      ("nfs status", Crowd.Status Sfs_nfs.Nfs_types.NFS3ERR_NOENT, Crowd.Fatal);
+      ("missing entry", Crowd.Missing_entry "no-such-file", Crowd.Fatal);
+    ]
+  in
+  List.iter (fun (name, cause, want) -> Testkit.check_bool name true (Crowd.classify cause = want)) cases
+
 let suite =
   ( "workload",
     [
@@ -402,4 +421,5 @@ let suite =
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;
       Alcotest.test_case "golden ledgers" `Quick test_golden_ledgers;
+      Alcotest.test_case "crowd failure classes" `Quick test_crowd_classify;
     ] )

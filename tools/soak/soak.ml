@@ -41,7 +41,7 @@ let crash ~host ~down_s ~up_s =
 let part ~a ~b ~from_s ~until_s =
   { Fault.pa = a; pb = b; p_from_us = from_s *. 1e6; p_until_us = until_s *. 1e6 }
 
-let srv i = Printf.sprintf "srv%d.fleet.lcs.mit.edu" i
+let srv i = Fleet.server_loc i
 let mir i = Flashcrowd.mirror_loc i
 
 let plans : (string * world) list =
